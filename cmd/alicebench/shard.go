@@ -225,7 +225,8 @@ func runFlowUnit(ctx context.Context, design, cfgName string) (unitResult, error
 
 // runImplUnit fully places and routes the winning solution of one
 // design (cfg1): the annealer and PathFinder hot paths, with the
-// routed STA results recorded per fabric.
+// routed STA results recorded per fabric. Each fabric is implemented on
+// its own, so its row times only its own place and route.
 func runImplUnit(ctx context.Context, design string) (unitResult, error) {
 	cfg, b, err := benchConfig(design, "cfg1")
 	if err != nil {
@@ -239,19 +240,18 @@ func runImplUnit(ctx context.Context, design string) (unitResult, error) {
 	if r.Err != nil || r.Solution == nil {
 		return unitResult{}, nil
 	}
-	start := time.Now()
-	if err := eng.Implement(ctx, r.Solution); err != nil {
-		return unitResult{}, err
-	}
-	wall := time.Since(start).Seconds()
 	var res unitResult
 	for _, f := range r.Solution.Fabrics {
+		start := time.Now()
+		if err := eng.Implement(ctx, &alice.Solution{Fabrics: []*alice.FabricCandidate{f}}); err != nil {
+			return unitResult{}, err
+		}
 		ib := implBench{
 			Design:      b.Name,
 			Cfg:         "cfg1",
 			Fabric:      f.Fabric.Arch.Name(),
 			ConfigBits:  f.Fabric.ConfigBits(),
-			WallSeconds: wall,
+			WallSeconds: time.Since(start).Seconds(),
 		}
 		if f.Fabric.Routing != nil {
 			ib.RouteIterations = f.Fabric.Routing.Iterations
@@ -394,15 +394,14 @@ func structDIPs(ln *techmap.LUTNetwork, opts attack.Options) (int, bool, error) 
 
 // runStructuralFlowUnit classifies each winning fabric of one design's
 // cfg1 solution — the per-fabric structural column of the attack
-// matrix. Selection already analyzed every characterized candidate, so
-// the rows normally just project FabricCandidate.Structural.
+// matrix. Each row times its own fabric's analysis, run with the seed
+// selection used, so its verdicts are the ones selection priced.
 func runStructuralFlowUnit(ctx context.Context, design string) (unitResult, error) {
 	cfg, b, err := benchConfig(design, "cfg1")
 	if err != nil {
 		return unitResult{}, err
 	}
 	eng := alice.NewEngine(alice.WithConfig(cfg))
-	start := time.Now()
 	r, err := eng.RunSource(ctx, b.Source())
 	if err != nil {
 		return unitResult{}, err
@@ -410,15 +409,14 @@ func runStructuralFlowUnit(ctx context.Context, design string) (unitResult, erro
 	if r.Err != nil || r.Solution == nil {
 		return unitResult{}, nil
 	}
-	wall := time.Since(start).Seconds()
 	var res unitResult
 	for _, f := range r.Solution.Fabrics {
-		s := f.Structural
-		if s == nil {
-			if s, err = structural.Analyze(f.Fabric.LUTs, structural.Options{Seed: cfg.Seed}); err != nil {
-				return unitResult{}, err
-			}
+		start := time.Now()
+		s, err := structural.Analyze(f.Fabric.LUTs, structural.Options{Seed: cfg.Seed})
+		if err != nil {
+			return unitResult{}, err
 		}
+		wall := time.Since(start).Seconds()
 		res.Structural = append(res.Structural, structuralBench{
 			Design:            design,
 			Fabric:            f.Fabric.Arch.Name(),

@@ -211,6 +211,10 @@ type StatsResponse struct {
 	FlowRuns   int64 `json:"flow_runs"`
 	AttackRuns int64 `json:"attack_runs"`
 	MemoHits   int64 `json:"memo_hits"`
+	// FrontEndRuns counts key syntheses since daemon start: designs
+	// whose memo key needed parse, elaborate and synthesize because the
+	// per-process front-end memo did not know their source.
+	FrontEndRuns int64 `json:"front_end_runs"`
 	// Rejected counts submissions refused by admission control (503).
 	Rejected int64 `json:"rejected"`
 	// Probes counts degraded-mode disk probe attempts.

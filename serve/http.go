@@ -92,8 +92,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Validate now so malformed requests fail the HTTP call, not an
-	// async job the client would have to poll to see fail.
-	if _, _, _, err := s.resolve(&req); err != nil {
+	// async job the client would have to poll to see fail. A design
+	// seen before costs no front-end work here or in the job.
+	if _, err := s.prepare(&req); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}

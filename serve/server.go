@@ -18,7 +18,9 @@
 // Config.Key() + the design's canonical netlist content hash + the
 // attack parameters, so resubmitting an identical design (even
 // reformatted) returns the stored result without invoking a single
-// flow stage.
+// flow stage. A per-process memo from (top module, source text) to the
+// netlist content hash lets a repeated design skip parse, elaborate
+// and synthesize when its key is derived again.
 //
 // Failure domains. The daemon is built to keep serving through the
 // failures production delivers:
@@ -46,6 +48,8 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -57,10 +61,16 @@ import (
 	"alice/internal/rtl"
 	"alice/internal/store"
 	"alice/internal/synth"
+	"alice/internal/verilog"
 )
 
 // resultPrefix namespaces memoized flow results in the shared store.
 const resultPrefix = "result\x00"
+
+// frontEndMemoCap bounds the front-end memo. An entry is a 32-byte
+// source digest plus a 64-byte netlist hash, so a full memo stays well
+// under a megabyte.
+const frontEndMemoCap = 4096
 
 // probeKey is the scratch record the degraded-mode probe loop writes
 // and deletes to prove the disk accepts commits again.
@@ -134,9 +144,11 @@ type Server struct {
 	queue  *jobq.Queue
 	mux    *http.ServeMux
 
-	flowRuns   atomic.Int64
-	attackRuns atomic.Int64
-	memoHits   atomic.Int64
+	flowRuns     atomic.Int64
+	attackRuns   atomic.Int64
+	memoHits     atomic.Int64
+	frontEndRuns atomic.Int64 // key syntheses (front-end memo misses)
+	frontEnd     frontEndMemo
 
 	// storeErr is the latest store write failure (empty when healthy);
 	// together with store.Sealed it drives the degraded health state.
@@ -332,6 +344,7 @@ func (s *Server) retryAfterSeconds() int {
 // configuration, normalized attack options, and the memoization key.
 type prepared struct {
 	src        string
+	ast        *verilog.Design // parsed source; nil when the front-end memo answered
 	cfg        *alice.Config
 	attack     *attack.Options // nil when no attack stage
 	structural bool            // report structural verdicts (and seed the attack)
@@ -339,53 +352,52 @@ type prepared struct {
 	key        string          // full store key (resultPrefix + memoID)
 }
 
-// resolve validates the request shape and resolves source + config.
-// It is cheap enough to run at submission time, so malformed requests
-// fail with 400 instead of a failed async job.
-func (s *Server) resolve(req *JobRequest) (src string, cfg *alice.Config, aopts *attack.Options, err error) {
+// resolve validates the request shape and resolves source, config and
+// attack options. It touches no design text: the front end runs in
+// prepare.
+func (s *Server) resolve(req *JobRequest) (*prepared, error) {
+	pj := &prepared{structural: req.Structural}
 	var benchOutputs []string
 	switch {
 	case req.Source != "" && req.Bench != "":
-		return "", nil, nil, errors.New("request has both source and bench; pick one")
+		return nil, errors.New("request has both source and bench; pick one")
 	case req.Source != "":
-		src = req.Source
+		pj.src = req.Source
 	case req.Bench != "":
 		b, ok := alice.BenchmarkByName(req.Bench)
 		if !ok {
-			return "", nil, nil, fmt.Errorf("unknown benchmark %q", req.Bench)
+			return nil, fmt.Errorf("unknown benchmark %q", req.Bench)
 		}
-		src = b.Source()
+		pj.src = b.Source()
 		benchOutputs = b.SelectedOutputs
 	default:
-		return "", nil, nil, errors.New("request needs source (Verilog text) or bench (benchmark name)")
+		return nil, errors.New("request needs source (Verilog text) or bench (benchmark name)")
 	}
 
 	switch {
 	case req.ConfigYAML != "":
-		cfg, err = alice.LoadConfig(req.ConfigYAML)
+		cfg, err := alice.LoadConfig(req.ConfigYAML)
 		if err != nil {
-			return "", nil, nil, fmt.Errorf("config_yaml: %w", err)
+			return nil, fmt.Errorf("config_yaml: %w", err)
 		}
+		pj.cfg = cfg
 	case req.Cfg == 0 || req.Cfg == 1:
 		if s.opts.Config != nil {
 			c := *s.opts.Config
-			cfg = &c
+			pj.cfg = &c
 		} else {
-			cfg = alice.Cfg1()
+			pj.cfg = alice.Cfg1()
 		}
 	case req.Cfg == 2:
-		cfg = alice.Cfg2()
+		pj.cfg = alice.Cfg2()
 	default:
-		return "", nil, nil, fmt.Errorf("cfg must be 1 or 2, got %d", req.Cfg)
+		return nil, fmt.Errorf("cfg must be 1 or 2, got %d", req.Cfg)
 	}
-	if len(cfg.SelectedOutputs) == 0 && benchOutputs != nil {
-		cfg.SelectedOutputs = benchOutputs
+	if len(pj.cfg.SelectedOutputs) == 0 && benchOutputs != nil {
+		pj.cfg.SelectedOutputs = benchOutputs
 	}
-	if err := cfg.Validate(); err != nil {
-		return "", nil, nil, err
-	}
-	if _, err := alice.Parse(src); err != nil {
-		return "", nil, nil, fmt.Errorf("parsing design: %w", err)
+	if err := pj.cfg.Validate(); err != nil {
+		return nil, err
 	}
 
 	if req.Attack != nil {
@@ -402,9 +414,9 @@ func (s *Server) resolve(req *JobRequest) (src string, cfg *alice.Config, aopts 
 		if a.MaxConflicts <= 0 {
 			a.MaxConflicts = DefaultAttackConflicts
 		}
-		aopts = &a
+		pj.attack = &a
 	}
-	return src, cfg, aopts, nil
+	return pj, nil
 }
 
 // prepare resolves the request and computes its memoization key:
@@ -412,49 +424,110 @@ func (s *Server) resolve(req *JobRequest) (src string, cfg *alice.Config, aopts 
 // design, and the attack parameters. The content hash is taken on the
 // synthesized netlist, so sources differing only in formatting or
 // comments memoize to the same record (synthesis is deterministic),
-// while any logic change produces a fresh key.
+// while any logic change produces a fresh key. It is the submit-time
+// validation too: a design that fails to parse, elaborate or
+// synthesize is refused with 400 instead of becoming a failed job.
 func (s *Server) prepare(req *JobRequest) (*prepared, error) {
-	src, cfg, aopts, err := s.resolve(req)
+	pj, err := s.resolve(req)
 	if err != nil {
 		return nil, err
 	}
-	ast, err := alice.Parse(src)
+	netHash, err := s.netlistHash(pj)
 	if err != nil {
 		return nil, err
-	}
-	d, err := rtl.Elaborate(ast, cfg.Top)
-	if err != nil {
-		return nil, fmt.Errorf("elaborating design: %w", err)
-	}
-	sr, err := synth.Synthesize(d)
-	if err != nil {
-		return nil, fmt.Errorf("synthesizing design: %w", err)
 	}
 	h := sha256.New()
-	fmt.Fprintf(h, "%s\x00%s\x00", cfg.Key(), netlist.ContentHash(sr.Netlist))
-	if aopts != nil {
+	fmt.Fprintf(h, "%s\x00%s\x00", pj.cfg.Key(), netHash)
+	if pj.attack != nil {
 		// The *resolved* warm-up count is part of the key, so flipping
 		// the engine default (or opting out) never aliases records
 		// computed under a different warm-up regime.
 		fmt.Fprintf(h, "attack:iters=%d,conflicts=%d,seed=%d,warmup=%d",
-			aopts.MaxIters, aopts.MaxConflicts, aopts.Seed, aopts.EffectiveWarmup())
+			pj.attack.MaxIters, pj.attack.MaxConflicts, pj.attack.Seed, pj.attack.EffectiveWarmup())
 	}
-	if req.Structural {
+	if pj.structural {
 		// Appended only when set, so every pre-structural record keeps
 		// its key. A structural request changes the result shape (the
 		// verdicts) and, with an attack stage, its work (seeding), so
 		// it must not alias a plain record.
 		fmt.Fprintf(h, "\x00structural")
 	}
-	id := hex.EncodeToString(h.Sum(nil))
-	return &prepared{
-		src:        src,
-		cfg:        cfg,
-		attack:     aopts,
-		structural: req.Structural,
-		memoID:     id,
-		key:        resultPrefix + id,
-	}, nil
+	pj.memoID = hex.EncodeToString(h.Sum(nil))
+	pj.key = resultPrefix + pj.memoID
+	return pj, nil
+}
+
+// netlistHash returns the content hash of the design's synthesized
+// netlist. The front-end memo answers a (top, source) pair it has seen;
+// otherwise the source is parsed (the AST is kept for the flow),
+// elaborated and synthesized, and the hash is memoized only once all
+// three succeeded.
+func (s *Server) netlistHash(pj *prepared) (string, error) {
+	digest := sourceDigest(pj.cfg.Top, pj.src)
+	if h, ok := s.frontEnd.get(digest); ok {
+		return h, nil
+	}
+	ast, err := alice.Parse(pj.src)
+	if err != nil {
+		return "", fmt.Errorf("parsing design: %w", err)
+	}
+	pj.ast = ast
+	d, err := rtl.Elaborate(ast, pj.cfg.Top)
+	if err != nil {
+		return "", fmt.Errorf("elaborating design: %w", err)
+	}
+	s.frontEndRuns.Add(1)
+	sr, err := synth.Synthesize(d)
+	if err != nil {
+		return "", fmt.Errorf("synthesizing design: %w", err)
+	}
+	h := netlist.ContentHash(sr.Netlist)
+	s.frontEnd.put(digest, h)
+	return h, nil
+}
+
+// sourceDigest names a design for the front-end memo: the top module
+// (elaboration depends on it) and the exact source text. The top is
+// length-prefixed so no (top, source) pair can alias another.
+func sourceDigest(top, src string) [sha256.Size]byte {
+	h := sha256.New()
+	h.Write([]byte(strconv.Itoa(len(top)) + ":" + top))
+	h.Write([]byte(src))
+	var d [sha256.Size]byte
+	h.Sum(d[:0])
+	return d
+}
+
+// frontEndMemo maps a source digest to the content hash of the design's
+// synthesized netlist. It lives in process memory on purpose: a
+// persisted entry would outlive a synthesizer change and map a source
+// to a stale netlist hash. At frontEndMemoCap entries an arbitrary one
+// is dropped per insert; a dropped design only pays its front end again.
+type frontEndMemo struct {
+	mu sync.Mutex
+	m  map[[sha256.Size]byte]string
+}
+
+func (f *frontEndMemo) get(k [sha256.Size]byte) (string, bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	h, ok := f.m[k]
+	return h, ok
+}
+
+func (f *frontEndMemo) put(k [sha256.Size]byte, h string) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.m == nil {
+		f.m = make(map[[sha256.Size]byte]string)
+	}
+	if _, ok := f.m[k]; !ok && len(f.m) >= frontEndMemoCap {
+		for old := range f.m {
+			delete(f.m, old)
+			break
+		}
+	}
+	f.m[k] = h
 }
 
 // runJob is the queue handler: memo lookup, then flow + attack.
@@ -482,16 +555,22 @@ func (s *Server) runJob(ctx context.Context, job *jobq.Job) ([]byte, error) {
 		}
 	}
 
+	ast := pj.ast
+	if ast == nil {
+		// The front-end memo derived the key; the flow needs the design.
+		if ast, err = alice.Parse(pj.src); err != nil {
+			return nil, fmt.Errorf("parsing design: %w", err)
+		}
+	}
 	engOpts := append([]alice.Option{
 		alice.WithConfig(pj.cfg),
 		alice.WithCache(s.tiered),
 	}, s.opts.EngineOptions...)
 	eng := alice.NewEngine(engOpts...)
 	s.flowRuns.Add(1)
-	rep, err := eng.RunSource(ctx, pj.src)
+	rep, err := eng.Run(ctx, ast)
 	if err != nil {
-		// Hard failure (cancellation, elaboration error): not a
-		// memoizable outcome.
+		// Hard failure (cancellation): not a memoizable outcome.
 		return nil, err
 	}
 	repJSON, err := rep.JSON()
@@ -618,12 +697,13 @@ func (s *Server) stats() StatsResponse {
 			DiskMisses: dm,
 			DiskSkips:  ds,
 		},
-		Jobs:       jobs,
-		JobTotals:  s.queue.Stats(),
-		FlowRuns:   s.flowRuns.Load(),
-		AttackRuns: s.attackRuns.Load(),
-		MemoHits:   s.memoHits.Load(),
-		Rejected:   s.rejected.Load(),
-		Probes:     s.probes.Load(),
+		Jobs:         jobs,
+		JobTotals:    s.queue.Stats(),
+		FlowRuns:     s.flowRuns.Load(),
+		AttackRuns:   s.attackRuns.Load(),
+		MemoHits:     s.memoHits.Load(),
+		FrontEndRuns: s.frontEndRuns.Load(),
+		Rejected:     s.rejected.Load(),
+		Probes:       s.probes.Load(),
 	}
 }
