@@ -62,10 +62,12 @@ func WithConfig(cfg *Config) Option {
 	}
 }
 
-// WithParallelism bounds the characterization worker pool and the
-// number of designs RunBatch drives concurrently. Values below 1 mean
-// sequential. The default is runtime.GOMAXPROCS(0); parallel and
-// sequential runs select identical solutions.
+// WithParallelism bounds the characterization worker pool, the number
+// of fabrics Implement (and the pipeline's implement stage) places and
+// routes at once, and the number of designs RunBatch drives
+// concurrently. Values below 1 mean sequential. The default is
+// runtime.GOMAXPROCS(0); parallel and sequential runs select and
+// implement identical solutions.
 func WithParallelism(n int) Option {
 	return func(e *Engine) {
 		if n < 1 {
@@ -205,9 +207,12 @@ func (e *Engine) Select(ctx context.Context, cands []FabricCandidate) (*Selectio
 }
 
 // Implement upgrades every fast-mode fabric of a solution to a fully
-// placed, routed, and programmed implementation.
+// placed, routed, and programmed implementation, up to the engine's
+// parallelism fabrics at once. The result does not depend on the
+// parallelism; a cancelled context makes it return the context's error
+// once every fabric in flight has stopped.
 func (e *Engine) Implement(ctx context.Context, sol *Solution) error {
-	return core.ImplementSolution(ctx, sol, e.cfg)
+	return core.ImplementSolution(ctx, sol, e.cfg, e.parallelism)
 }
 
 // Redact regenerates the design with the solution's clusters replaced
@@ -245,54 +250,34 @@ type BatchResult struct {
 // context stops unstarted jobs; their results carry ctx.Err().
 func (e *Engine) RunBatch(ctx context.Context, jobs []BatchJob) []BatchResult {
 	results := make([]BatchResult, len(jobs))
-	workers := e.parallelism
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	var wg sync.WaitGroup
-	ch := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range ch {
-				job := jobs[i]
-				results[i].Name = job.Name
-				if err := ctx.Err(); err != nil {
-					results[i].Err = err
-					continue
-				}
-				cfg := job.Config
-				if cfg == nil {
-					cfg = e.effectiveConfig()
-				}
-				ast := job.AST
-				if ast == nil {
-					var err error
-					ast, err = verilog.Parse(job.Source)
-					if err != nil {
-						results[i].Err = err
-						continue
-					}
-				}
-				opts := e.runOptions()
-				// The batch already fans out across designs; keep each
-				// design's characterization sequential to avoid
-				// oversubscribing the pool.
-				opts.Parallelism = 1
-				rep, err := core.RunPipeline(ctx, ast, cfg, opts)
-				results[i].Report = rep
+	core.ParallelFor(len(jobs), e.parallelism, func(i int) {
+		job := jobs[i]
+		results[i].Name = job.Name
+		if err := ctx.Err(); err != nil {
+			results[i].Err = err
+			return
+		}
+		cfg := job.Config
+		if cfg == nil {
+			cfg = e.effectiveConfig()
+		}
+		ast := job.AST
+		if ast == nil {
+			var err error
+			ast, err = verilog.Parse(job.Source)
+			if err != nil {
 				results[i].Err = err
+				return
 			}
-		}()
-	}
-	for i := range jobs {
-		ch <- i
-	}
-	close(ch)
-	wg.Wait()
+		}
+		opts := e.runOptions()
+		// The batch already fans out across designs; keep each
+		// design's characterization and implementation sequential to
+		// avoid oversubscribing the pool.
+		opts.Parallelism = 1
+		rep, err := core.RunPipeline(ctx, ast, cfg, opts)
+		results[i].Report = rep
+		results[i].Err = err
+	})
 	return results
 }

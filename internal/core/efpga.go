@@ -158,14 +158,6 @@ func CharacterizeClusters(ctx context.Context, d *rtl.Design, clusters []Cluster
 		// hierarchy paths happen to match.
 		fp = designHash(d) + "\x00" + cfg.characterizationFingerprint()
 	}
-	workers := co.Parallelism
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(out) {
-		workers = len(out)
-	}
-
 	// The work unit is one (cluster, family) slot, so family-heavy
 	// sweeps over few clusters still fill the pool. The family-
 	// independent synthesis of each cluster wrapper runs once, guarded
@@ -251,44 +243,18 @@ func CharacterizeClusters(ctx context.Context, d *rtl.Design, clusters []Cluster
 		out[slot] = FabricCandidate{Cluster: c, Family: fam, Fabric: fab, Err: err}
 	}
 
-	if workers <= 1 {
-		for slot := range out {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			one(slot)
-			if co.Progress != nil {
-				done++
-				co.Progress(done, len(out))
-			}
+	ParallelFor(len(out), co.Parallelism, func(slot int) {
+		if ctx.Err() != nil {
+			return // drain
 		}
-	} else {
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for slot := range jobs {
-					if ctx.Err() != nil {
-						continue // drain
-					}
-					one(slot)
-					if co.Progress != nil {
-						mu.Lock()
-						done++
-						co.Progress(done, len(out))
-						mu.Unlock()
-					}
-				}
-			}()
+		one(slot)
+		if co.Progress != nil {
+			mu.Lock()
+			done++
+			co.Progress(done, len(out))
+			mu.Unlock()
 		}
-		for slot := range out {
-			jobs <- slot
-		}
-		close(jobs)
-		wg.Wait()
-	}
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

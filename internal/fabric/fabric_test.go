@@ -61,27 +61,128 @@ func TestRRGraphStructure(t *testing.T) {
 				}
 			}
 			for k := 0; k < a.BLEsPerCLB; k++ {
-				if len(g.Out[g.OPin(x, y, k)]) == 0 {
+				if len(g.WireOut(g.OPin(x, y, k))) == 0 {
 					t.Fatalf("OPin(%d,%d,%d) drives nothing", x, y, k)
 				}
 			}
 		}
 	}
-	// In/Out must be mutually consistent.
+	// In and WireOut must be mutually consistent: every edge of In into
+	// a wire appears exactly once in WireOut, each list ascends, and
+	// WireOut holds no other edge.
+	isWire := func(n int32) bool {
+		k := g.Nodes[n].Kind
+		return k == RRHWire || k == RRVWire
+	}
+	wireEdges := 0
 	for to, ins := range g.In {
+		if !isWire(int32(to)) {
+			continue
+		}
 		for _, from := range ins {
-			found := false
-			for _, o := range g.Out[from] {
+			wireEdges++
+			found := 0
+			for _, o := range g.WireOut(from) {
 				if int(o) == to {
-					found = true
-					break
+					found++
 				}
 			}
-			if !found {
-				t.Fatalf("edge %d->%d missing from Out", from, to)
+			if found != 1 {
+				t.Fatalf("edge %d->%d appears %d times in WireOut, want 1", from, to, found)
 			}
 		}
 	}
+	outEdges := 0
+	for n := range g.Nodes {
+		out := g.WireOut(int32(n))
+		outEdges += len(out)
+		for i, o := range out {
+			if !isWire(o) {
+				t.Fatalf("WireOut(%d) lists non-wire %s", n, g.Nodes[o])
+			}
+			if i > 0 && out[i-1] >= o {
+				t.Fatalf("WireOut(%d) not ascending: %v", n, out)
+			}
+		}
+	}
+	if outEdges != wireEdges {
+		t.Fatalf("WireOut holds %d edges, In has %d edges into wires", outEdges, wireEdges)
+	}
+}
+
+// TestRRGraphIDs checks the arithmetic node numbering against the
+// node table: every lookup returns a node of the right kind and
+// coordinates, and the lookups cover every node exactly once.
+func TestRRGraphIDs(t *testing.T) {
+	for _, a := range []Arch{NewArch(2), NewArch(5), Params{LUTSize: 6, BLEsPerCLB: 2}.Normalized().At(3)} {
+		g := BuildRRGraph(a)
+		seen := make([]int, len(g.Nodes))
+		check := func(id int32, want RRNode) {
+			t.Helper()
+			if id < 0 || int(id) >= len(g.Nodes) || g.Nodes[id] != want {
+				t.Fatalf("%s: id %d for %s", a.Name(), id, want)
+			}
+			seen[id]++
+		}
+		for x := 0; x < a.W; x++ {
+			for y := 0; y < a.W; y++ {
+				for k := 0; k < a.BLEsPerCLB; k++ {
+					check(g.OPin(x, y, k), RRNode{RROPin, x, y, k})
+				}
+				for k := 0; k < a.CLBInputs; k++ {
+					check(g.IPin(x, y, k), RRNode{RRIPin, x, y, k})
+				}
+			}
+		}
+		for tile := 0; tile < a.IOTiles(); tile++ {
+			for gp := 0; gp < a.GPIOPerTile; gp++ {
+				check(g.IOIn(tile, gp), RRNode{RRIOIn, tile, 0, gp})
+				check(g.IOOut(tile, gp), RRNode{RRIOOut, tile, 0, gp})
+			}
+		}
+		for i := 0; i <= a.W; i++ {
+			for j := 0; j < a.W; j++ {
+				for tr := 0; tr < a.ChannelWidth; tr++ {
+					check(g.hwire(j, i, tr), RRNode{RRHWire, j, i, tr})
+					check(g.vwire(i, j, tr), RRNode{RRVWire, i, j, tr})
+				}
+			}
+		}
+		for id, c := range seen {
+			if c != 1 {
+				t.Fatalf("%s: node %s looked up %d times", a.Name(), g.Nodes[id], c)
+			}
+		}
+	}
+}
+
+// reach walks the graph forward from src. Wire successors come from
+// WireOut; pin and pad successors, which WireOut leaves out, come from
+// In.
+func reach(g *RRGraph, src int32) map[int32]bool {
+	pinSucc := make(map[int32][]int32)
+	for to, ins := range g.In {
+		if k := g.Nodes[to].Kind; k == RRIPin || k == RRIOOut {
+			for _, from := range ins {
+				pinSucc[from] = append(pinSucc[from], int32(to))
+			}
+		}
+	}
+	seen := map[int32]bool{src: true}
+	stack := []int32{src}
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, succ := range [][]int32{g.WireOut(n), pinSucc[n]} {
+			for _, nx := range succ {
+				if !seen[nx] {
+					seen[nx] = true
+					stack = append(stack, nx)
+				}
+			}
+		}
+	}
+	return seen
 }
 
 // Property: every OPin can reach every IPin of every other CLB through
@@ -89,25 +190,10 @@ func TestRRGraphStructure(t *testing.T) {
 func TestQuickRRGraphReachability(t *testing.T) {
 	a := NewArch(3)
 	g := BuildRRGraph(a)
-	reach := func(src int32) map[int32]bool {
-		seen := map[int32]bool{src: true}
-		stack := []int32{src}
-		for len(stack) > 0 {
-			n := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, nx := range g.Out[n] {
-				if !seen[nx] {
-					seen[nx] = true
-					stack = append(stack, nx)
-				}
-			}
-		}
-		return seen
-	}
 	f := func(sx, sy, tx, ty uint8) bool {
 		x1, y1 := int(sx)%a.W, int(sy)%a.W
 		x2, y2 := int(tx)%a.W, int(ty)%a.W
-		seen := reach(g.OPin(x1, y1, 0))
+		seen := reach(g, g.OPin(x1, y1, 0))
 		return seen[g.IPin(x2, y2, 0)]
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -119,19 +205,7 @@ func TestPadReachability(t *testing.T) {
 	a := NewArch(2)
 	g := BuildRRGraph(a)
 	// Pad-in reaches pad-out across the fabric.
-	seen := map[int32]bool{}
-	stack := []int32{g.IOIn(0, 0)}
-	seen[stack[0]] = true
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, nx := range g.Out[n] {
-			if !seen[nx] {
-				seen[nx] = true
-				stack = append(stack, nx)
-			}
-		}
-	}
+	seen := reach(g, g.IOIn(0, 0))
 	if !seen[g.IOOut(a.IOTiles()-1, a.GPIOPerTile-1)] {
 		t.Error("pad-to-pad path missing")
 	}

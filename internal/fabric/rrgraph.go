@@ -47,6 +47,11 @@ func (n RRNode) String() string {
 
 // RRGraph is the fabric's routing-resource graph. Edges are directed;
 // wire segments are modeled as bidirectionally connected node pairs.
+//
+// Node ids follow a fixed arithmetic layout: horizontal wires, then
+// vertical wires, then the pins of each CLB (output pins before input
+// pins), then the pads, so wires occupy the ids below every pin and
+// pad.
 type RRGraph struct {
 	Arch  Arch
 	Nodes []RRNode
@@ -54,15 +59,14 @@ type RRGraph struct {
 	// This orientation matches configuration: each node's selected
 	// driver is one config choice.
 	In [][]int32
-	// Out is the forward adjacency derived from In.
-	Out [][]int32
 
-	hwire map[[3]int]int32
-	vwire map[[3]int]int32
-	opin  map[[3]int]int32
-	ipin  map[[3]int]int32
-	ioin  map[[2]int]int32
-	ioout map[[2]int]int32
+	// wireOff and wireTo are the forward adjacency restricted to wire
+	// targets, stored flat: node n drives the wires
+	// wireTo[wireOff[n]:wireOff[n+1]], in ascending id order.
+	wireOff []int32
+	wireTo  []int32
+
+	vBase, pinBase, padBase int32 // first vertical wire, CLB pin, pad
 }
 
 // BuildRRGraph constructs the routing-resource graph for an
@@ -70,78 +74,118 @@ type RRGraph struct {
 // (same-track) switch boxes with full turning, full connection blocks,
 // and I/O tiles on the left (x=0) and right (x=W) fabric edges.
 func BuildRRGraph(a Arch) *RRGraph {
-	g := &RRGraph{
-		Arch:  a,
-		hwire: make(map[[3]int]int32),
-		vwire: make(map[[3]int]int32),
-		opin:  make(map[[3]int]int32),
-		ipin:  make(map[[3]int]int32),
-		ioin:  make(map[[2]int]int32),
-		ioout: make(map[[2]int]int32),
-	}
-	add := func(n RRNode) int32 {
-		id := int32(len(g.Nodes))
-		g.Nodes = append(g.Nodes, n)
-		return id
-	}
 	W, cw := a.W, a.ChannelWidth
-	// Wires.
+	pins := a.BLEsPerCLB + a.CLBInputs
+	nWire := (W + 1) * W * cw
+	g := &RRGraph{
+		Arch:    a,
+		vBase:   int32(nWire),
+		pinBase: int32(2 * nWire),
+		padBase: int32(2*nWire + W*W*pins),
+	}
+	n := int(g.padBase) + 2*a.IOTiles()*a.GPIOPerTile
+	// Nodes are laid out in the order the id functions below compute.
+	g.Nodes = make([]RRNode, 0, n)
 	for y := 0; y <= W; y++ {
 		for x := 0; x < W; x++ {
 			for t := 0; t < cw; t++ {
-				g.hwire[[3]int{x, y, t}] = add(RRNode{RRHWire, x, y, t})
+				g.Nodes = append(g.Nodes, RRNode{RRHWire, x, y, t})
 			}
 		}
 	}
 	for x := 0; x <= W; x++ {
 		for y := 0; y < W; y++ {
 			for t := 0; t < cw; t++ {
-				g.vwire[[3]int{x, y, t}] = add(RRNode{RRVWire, x, y, t})
+				g.Nodes = append(g.Nodes, RRNode{RRVWire, x, y, t})
 			}
 		}
 	}
-	// CLB pins.
 	for x := 0; x < W; x++ {
 		for y := 0; y < W; y++ {
 			for k := 0; k < a.BLEsPerCLB; k++ {
-				g.opin[[3]int{x, y, k}] = add(RRNode{RROPin, x, y, k})
+				g.Nodes = append(g.Nodes, RRNode{RROPin, x, y, k})
 			}
 			for k := 0; k < a.CLBInputs; k++ {
-				g.ipin[[3]int{x, y, k}] = add(RRNode{RRIPin, x, y, k})
+				g.Nodes = append(g.Nodes, RRNode{RRIPin, x, y, k})
 			}
 		}
 	}
 	// I/O pads: tile index 0..W-1 on the left edge, W..2W-1 on the right.
 	for tile := 0; tile < a.IOTiles(); tile++ {
 		for gp := 0; gp < a.GPIOPerTile; gp++ {
-			g.ioin[[2]int{tile, gp}] = add(RRNode{RRIOIn, tile, 0, gp})
-			g.ioout[[2]int{tile, gp}] = add(RRNode{RRIOOut, tile, 0, gp})
+			g.Nodes = append(g.Nodes, RRNode{RRIOIn, tile, 0, gp}, RRNode{RRIOOut, tile, 0, gp})
 		}
 	}
 
-	g.In = make([][]int32, len(g.Nodes))
-	edge := func(from, to int32) { g.In[to] = append(g.In[to], from) }
+	// In is filled in two passes over the same edge order, counting
+	// then appending, so every node's driver list is a window of one
+	// flat array.
+	deg := make([]int32, n)
+	edges := 0
+	g.eachEdge(func(_, to int32) { deg[to]++; edges++ })
+	flat := make([]int32, edges)
+	g.In = make([][]int32, n)
+	off := 0
+	for id, d := range deg {
+		g.In[id] = flat[off : off : off+int(d)]
+		off += int(d)
+	}
+	g.eachEdge(func(from, to int32) { g.In[to] = append(g.In[to], from) })
 
+	// Wire-target forward adjacency: visiting targets in ascending id
+	// order appends each node's successors in that order.
+	g.wireOff = make([]int32, n+1)
+	for to := int32(0); to < g.pinBase; to++ {
+		for _, from := range g.In[to] {
+			g.wireOff[from+1]++
+		}
+	}
+	for id := 0; id < n; id++ {
+		g.wireOff[id+1] += g.wireOff[id]
+	}
+	g.wireTo = make([]int32, g.wireOff[n])
+	next := deg // reuse: next free slot per source node
+	copy(next, g.wireOff[:n])
+	for to := int32(0); to < g.pinBase; to++ {
+		for _, from := range g.In[to] {
+			g.wireTo[next[from]] = to
+			next[from]++
+		}
+	}
+	return g
+}
+
+// eachEdge calls edge(from, to) for every edge of the graph, always in
+// the same order: that order fixes each node's mux-input numbering and
+// so the bitstream layout.
+func (g *RRGraph) eachEdge(edge func(from, to int32)) {
+	a := g.Arch
+	W, cw := a.W, a.ChannelWidth
 	// Switch boxes: at corner (x,y), same-track wires in all four
 	// directions are mutually connected.
+	var near [4]int32
 	for x := 0; x <= W; x++ {
 		for y := 0; y <= W; y++ {
 			for t := 0; t < cw; t++ {
-				var near []int32
+				k := 0
 				if x > 0 {
-					near = append(near, g.hwire[[3]int{x - 1, y, t}])
+					near[k] = g.hwire(x-1, y, t)
+					k++
 				}
 				if x < W {
-					near = append(near, g.hwire[[3]int{x, y, t}])
+					near[k] = g.hwire(x, y, t)
+					k++
 				}
 				if y > 0 {
-					near = append(near, g.vwire[[3]int{x, y - 1, t}])
+					near[k] = g.vwire(x, y-1, t)
+					k++
 				}
 				if y < W {
-					near = append(near, g.vwire[[3]int{x, y, t}])
+					near[k] = g.vwire(x, y, t)
+					k++
 				}
-				for _, a1 := range near {
-					for _, b1 := range near {
+				for _, a1 := range near[:k] {
+					for _, b1 := range near[:k] {
 						if a1 != b1 {
 							edge(a1, b1)
 						}
@@ -152,24 +196,25 @@ func BuildRRGraph(a Arch) *RRGraph {
 	}
 	// Connection blocks: OPins drive all tracks of the four adjacent
 	// channels; all tracks of those channels can drive each IPin.
+	wires := make([]int32, 0, 4*cw)
 	for x := 0; x < W; x++ {
 		for y := 0; y < W; y++ {
-			var wires []int32
+			wires = wires[:0]
 			for t := 0; t < cw; t++ {
 				wires = append(wires,
-					g.hwire[[3]int{x, y, t}],     // channel below
-					g.hwire[[3]int{x, y + 1, t}], // channel above
-					g.vwire[[3]int{x, y, t}],     // channel left
-					g.vwire[[3]int{x + 1, y, t}]) // channel right
+					g.hwire(x, y, t),   // channel below
+					g.hwire(x, y+1, t), // channel above
+					g.vwire(x, y, t),   // channel left
+					g.vwire(x+1, y, t)) // channel right
 			}
 			for k := 0; k < a.BLEsPerCLB; k++ {
-				op := g.opin[[3]int{x, y, k}]
+				op := g.OPin(x, y, k)
 				for _, w := range wires {
 					edge(op, w)
 				}
 			}
 			for k := 0; k < a.CLBInputs; k++ {
-				ip := g.ipin[[3]int{x, y, k}]
+				ip := g.IPin(x, y, k)
 				for _, w := range wires {
 					edge(w, ip)
 				}
@@ -184,36 +229,51 @@ func BuildRRGraph(a Arch) *RRGraph {
 			chanX, row = W, tile-W
 		}
 		for gp := 0; gp < a.GPIOPerTile; gp++ {
-			in := g.ioin[[2]int{tile, gp}]
-			out := g.ioout[[2]int{tile, gp}]
+			in, out := g.IOIn(tile, gp), g.IOOut(tile, gp)
 			for t := 0; t < cw; t++ {
-				w := g.vwire[[3]int{chanX, row, t}]
+				w := g.vwire(chanX, row, t)
 				edge(in, w)
 				edge(w, out)
 			}
 		}
 	}
+}
 
-	g.Out = make([][]int32, len(g.Nodes))
-	for to, ins := range g.In {
-		for _, from := range ins {
-			g.Out[from] = append(g.Out[from], int32(to))
-		}
-	}
-	return g
+// WireOut returns the wires node n drives, in ascending id order. Edges
+// into pins and pads are left out: a search reaches those only as its
+// target, through In.
+func (g *RRGraph) WireOut(n int32) []int32 { return g.wireTo[g.wireOff[n]:g.wireOff[n+1]] }
+
+// hwire returns horizontal wire segment (x, y), track t.
+func (g *RRGraph) hwire(x, y, t int) int32 {
+	return int32((y*g.Arch.W+x)*g.Arch.ChannelWidth + t)
+}
+
+// vwire returns vertical wire segment (x, y), track t.
+func (g *RRGraph) vwire(x, y, t int) int32 {
+	return g.vBase + int32((x*g.Arch.W+y)*g.Arch.ChannelWidth+t)
+}
+
+// clbPin returns pin i of the CLB at (x, y): output pins first, then
+// input pins.
+func (g *RRGraph) clbPin(x, y, i int) int32 {
+	a := g.Arch
+	return g.pinBase + int32((x*a.W+y)*(a.BLEsPerCLB+a.CLBInputs)+i)
 }
 
 // OPin returns the output-pin node of BLE k in the CLB at (x, y).
-func (g *RRGraph) OPin(x, y, k int) int32 { return g.opin[[3]int{x, y, k}] }
+func (g *RRGraph) OPin(x, y, k int) int32 { return g.clbPin(x, y, k) }
 
 // IPin returns input-pin node k of the CLB at (x, y).
-func (g *RRGraph) IPin(x, y, k int) int32 { return g.ipin[[3]int{x, y, k}] }
+func (g *RRGraph) IPin(x, y, k int) int32 { return g.clbPin(x, y, g.Arch.BLEsPerCLB+k) }
 
 // IOIn returns the fabric-driving pad node of a GPIO.
-func (g *RRGraph) IOIn(tile, gpio int) int32 { return g.ioin[[2]int{tile, gpio}] }
+func (g *RRGraph) IOIn(tile, gpio int) int32 {
+	return g.padBase + int32(2*(tile*g.Arch.GPIOPerTile+gpio))
+}
 
 // IOOut returns the fabric-driven pad node of a GPIO.
-func (g *RRGraph) IOOut(tile, gpio int) int32 { return g.ioout[[2]int{tile, gpio}] }
+func (g *RRGraph) IOOut(tile, gpio int) int32 { return g.IOIn(tile, gpio) + 1 }
 
 // PadXY returns grid coordinates of an I/O tile for wirelength
 // estimates: left tiles at x=-1, right tiles at x=W.

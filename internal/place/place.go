@@ -7,8 +7,9 @@
 // precomputed into slices, occupancy lives in flat grids instead of
 // maps, and wirelength is delta-evaluated per move with incrementally
 // maintained net bounding boxes (boundary-population counts; a full
-// net rescan happens only when a boundary block moves away). Rejected
-// moves restore the cached pre-move costs instead of recomputing.
+// net rescan happens only when the last block on an edge moves
+// inward). Rejected moves restore the cached pre-move costs instead of
+// recomputing.
 package place
 
 import (
@@ -78,65 +79,48 @@ type Options struct {
 
 // bbox is a net's bounding box with boundary-population counts: how
 // many member blocks sit exactly on each edge. A move updates the box
-// in O(1) unless the last block on an edge leaves it, which triggers a
-// rescan of the net's members.
-type bbox struct {
-	minX, maxX, minY, maxY     int32
-	cMinX, cMaxX, cMinY, cMaxY int32
-}
+// in O(1) unless the last block on an edge moves inward, which
+// triggers a rescan of the net's members.
+type bbox struct{ x, y span }
+
+// span is one axis of a bounding box: the extent [lo, hi] and the
+// number of members on each end.
+type span struct{ lo, hi, nLo, nHi int32 }
 
 func (b *bbox) cost() float64 {
-	return float64(b.maxX-b.minX) + float64(b.maxY-b.minY)
+	return float64(b.x.hi-b.x.lo) + float64(b.y.hi-b.y.lo)
 }
 
-func (b *bbox) add(x, y int32) {
-	if x < b.minX {
-		b.minX, b.cMinX = x, 1
-	} else if x == b.minX {
-		b.cMinX++
+func (s *span) add(v int32) {
+	if v < s.lo {
+		s.lo, s.nLo = v, 1
+	} else if v == s.lo {
+		s.nLo++
 	}
-	if x > b.maxX {
-		b.maxX, b.cMaxX = x, 1
-	} else if x == b.maxX {
-		b.cMaxX++
-	}
-	if y < b.minY {
-		b.minY, b.cMinY = y, 1
-	} else if y == b.minY {
-		b.cMinY++
-	}
-	if y > b.maxY {
-		b.maxY, b.cMaxY = y, 1
-	} else if y == b.maxY {
-		b.cMaxY++
+	if v > s.hi {
+		s.hi, s.nHi = v, 1
+	} else if v == s.hi {
+		s.nHi++
 	}
 }
 
-// remove takes a member off the box; it reports whether a boundary lost
-// its last block, in which case the box is stale and must be rescanned.
-func (b *bbox) remove(x, y int32) bool {
-	under := false
-	if x == b.minX {
-		if b.cMinX--; b.cMinX == 0 {
-			under = true
-		}
+// stale reports whether moving a member from o to n takes the last
+// member off an end inward. The new end is then unknown: only a rescan
+// finds it.
+func (s *span) stale(o, n int32) bool {
+	return (o == s.lo && s.nLo == 1 && n > o) || (o == s.hi && s.nHi == 1 && n < o)
+}
+
+// move relocates one member from o to n in O(1), for a move that is
+// not stale.
+func (s *span) move(o, n int32) {
+	if o == s.lo {
+		s.nLo--
 	}
-	if x == b.maxX {
-		if b.cMaxX--; b.cMaxX == 0 {
-			under = true
-		}
+	if o == s.hi {
+		s.nHi--
 	}
-	if y == b.minY {
-		if b.cMinY--; b.cMinY == 0 {
-			under = true
-		}
-	}
-	if y == b.maxY {
-		if b.cMaxY--; b.cMaxY == 0 {
-			under = true
-		}
-	}
-	return under
+	s.add(n)
 }
 
 // pnet is one placement net: the blocks it spans plus cached cost and
@@ -182,12 +166,33 @@ func iabs(x int) int {
 
 func (n *pnet) rescan(pos []XY) {
 	first := pos[n.blocks[0]]
-	b := bbox{minX: int32(first.X), maxX: int32(first.X), minY: int32(first.Y), maxY: int32(first.Y),
-		cMinX: 1, cMaxX: 1, cMinY: 1, cMaxY: 1}
+	b := bbox{
+		x: span{lo: int32(first.X), hi: int32(first.X), nLo: 1, nHi: 1},
+		y: span{lo: int32(first.Y), hi: int32(first.Y), nLo: 1, nHi: 1},
+	}
 	for _, bl := range n.blocks[1:] {
-		b.add(int32(pos[bl].X), int32(pos[bl].Y))
+		b.x.add(int32(pos[bl].X))
+		b.y.add(int32(pos[bl].Y))
 	}
 	n.box = b
+}
+
+// moveMember updates the box for one member moving from one position
+// to another. pos holds the post-move positions of every member, so a
+// rescan also accounts for members that move later in the same epoch;
+// their updates are then skipped.
+func (n *pnet) moveMember(pos []XY, from, to XY) {
+	if n.rescanned || from == to {
+		return
+	}
+	fx, fy, tx, ty := int32(from.X), int32(from.Y), int32(to.X), int32(to.Y)
+	if n.box.x.stale(fx, tx) || n.box.y.stale(fy, ty) {
+		n.rescan(pos)
+		n.rescanned = true
+		return
+	}
+	n.box.x.move(fx, tx)
+	n.box.y.move(fy, ty)
 }
 
 // Place runs simulated annealing and returns a legal placement. The
@@ -373,15 +378,7 @@ func PlaceOpts(ctx context.Context, p *pack.Packing, seed int64, o Options) (*Pl
 						}
 					}
 				}
-				if nt.rescanned || oldXY == newXY {
-					continue
-				}
-				if nt.box.remove(int32(oldXY.X), int32(oldXY.Y)) {
-					nt.rescan(pos)
-					nt.rescanned = true
-					continue
-				}
-				nt.box.add(int32(newXY.X), int32(newXY.Y))
+				nt.moveMember(pos, oldXY, newXY)
 			}
 		}
 		delta := 0.0

@@ -6,10 +6,12 @@
 // The router is written for speed: all per-node search state lives in
 // flat arrays indexed by RR-node id and is invalidated by generation
 // counters instead of clearing, the priority queue is a pooled typed
-// binary heap, Dijkstra expansion is pruned by a per-net bounding box
-// (with escape-hatch widening when a net cannot route inside it), and
-// after the first PathFinder iteration only nets touching congested
-// nodes are ripped up and rerouted.
+// binary heap, Dijkstra expands only through wires
+// (fabric.RRGraph.WireOut) and reaches the sink from its stamped
+// drivers, expansion is pruned by a per-net bounding box (with
+// escape-hatch widening when a net cannot route inside it), and after
+// the first PathFinder iteration only nets touching congested nodes
+// are ripped up and rerouted.
 package route
 
 import (
@@ -80,6 +82,7 @@ type router struct {
 	dist    []float32 // per node: tentative cost (valid if gen matches)
 	from    []int32   // per node: Dijkstra predecessor (valid if gen matches)
 	gen     []uint32  // per node: generation stamp for dist/from
+	drives  []uint32  // per node: stamped with curGen if it drives the target
 	curGen  uint32    // current Dijkstra generation
 	inTree  []uint32  // per node: stamp marking current net's tree
 	treeGen uint32    // current net-tree generation
@@ -99,6 +102,7 @@ func newRouter(g *fabric.RRGraph) *router {
 		dist:   make([]float32, n),
 		from:   make([]int32, n),
 		gen:    make([]uint32, n),
+		drives: make([]uint32, n),
 		inTree: make([]uint32, n),
 		xs:     make([]int16, n),
 		ys:     make([]int16, n),
@@ -299,7 +303,9 @@ func (rt *router) dijkstra(used []int32, source, target int32, presFac, crit flo
 		seed(nd)
 	}
 	g := rt.g
-	nodes := g.Nodes
+	for _, d := range g.In[target] {
+		rt.drives[d] = gen
+	}
 	for len(q) > 0 {
 		var it heapItem
 		q, it = q.pop()
@@ -322,35 +328,37 @@ func (rt *router) dijkstra(used []int32, source, target int32, presFac, crit flo
 			rt.path = rev
 			return rev, nil
 		}
-		for _, nx := range g.Out[it.node] {
-			// Only wires may fan out further; pins and pads terminate.
-			k := nodes[nx].Kind
-			if k == fabric.RROPin || k == fabric.RRIOIn {
+		// Only wires fan out further; pins and pads terminate.
+		for _, nx := range g.WireOut(it.node) {
+			if x := rt.xs[nx]; x < minX || x > maxX {
 				continue
 			}
-			if (k == fabric.RRIPin || k == fabric.RRIOOut) && nx != target {
+			if y := rt.ys[nx]; y < minY || y > maxY {
 				continue
 			}
-			if nx != target {
-				if x := rt.xs[nx]; x < minX || x > maxX {
-					continue
-				}
-				if y := rt.ys[nx]; y < minY || y > maxY {
-					continue
-				}
-			}
-			nc := it.cost + rt.nodeCost(nx, presFac, crit)
-			if rt.gen[nx] == gen && nc >= rt.dist[nx] {
-				continue
-			}
-			rt.dist[nx] = nc
-			rt.from[nx] = it.node
-			rt.gen[nx] = gen
-			q = q.push(heapItem{node: nx, cost: nc})
+			q = rt.relax(q, it.node, nx, it.cost+rt.nodeCost(nx, presFac, crit), gen)
+		}
+		// The target is a pin or pad, so it comes after every wire in
+		// the node's full successor order: relaxing it last pushes
+		// exactly what a scan of all out-edges would.
+		if rt.drives[it.node] == gen {
+			q = rt.relax(q, it.node, target, it.cost+rt.nodeCost(target, presFac, crit), gen)
 		}
 	}
 	rt.heap = q
 	return nil, fmt.Errorf("no path")
+}
+
+// relax makes from the predecessor of nx at cost nc, and queues nx,
+// unless the current search already reached nx at no higher cost.
+func (rt *router) relax(q rtHeap, from, nx int32, nc float32, gen uint32) rtHeap {
+	if rt.gen[nx] == gen && nc >= rt.dist[nx] {
+		return q
+	}
+	rt.dist[nx] = nc
+	rt.from[nx] = from
+	rt.gen[nx] = gen
+	return q.push(heapItem{node: nx, cost: nc})
 }
 
 // heapItem is one priority-queue entry.

@@ -59,6 +59,72 @@ func TestDefaultModeImplementationGolden(t *testing.T) {
 	}
 }
 
+// TestImplementationGoldenBothModes pins what the default-mode golden
+// above leaves open: the timing-driven place & route path (the router's
+// criticality blend, the placer's timing term) and the two largest
+// cfg1 winners, fir at 7x7 and sha256 at 13x13, in both modes. Each
+// design's fast-mode cfg1 solution is implemented once per mode from
+// the same selection, as the implement_corpus benchmark does.
+func TestImplementationGoldenBothModes(t *testing.T) {
+	golden := []string{
+		"gcd/timing 4x4 bits=6176 hash=4a6f8868d6e9e003 placecost=283.4675 routeiters=3",
+		"gcd/timing 3x3 bits=3272 hash=b84aa4ac3a397a90 placecost=115.2966 routeiters=1",
+		"usb_phy/timing 5x5 bits=9906 hash=9be31b7a6be07165 placecost=254.3791 routeiters=1",
+		"usb_phy/timing 5x5 bits=9906 hash=3a5cf3d4c10ba701 placecost=286.9895 routeiters=1",
+		"sasc/timing 8x8 bits=27840 hash=82061dd14daccd7e placecost=1211.9372 routeiters=3",
+		"fir/default 7x7 bits=20642 hash=9c57f83396bfa21d placecost=423.0000 routeiters=3",
+		"fir/timing 7x7 bits=20642 hash=cfb4dff34b0364b9 placecost=911.7905 routeiters=4",
+		"sha256/default 13x13 bits=87868 hash=5b8ffa3c494cffba placecost=2561.0000 routeiters=5",
+		"sha256/timing 13x13 bits=87868 hash=438d79006265558c placecost=5101.5024 routeiters=6",
+	}
+	ctx := context.Background()
+	var got []string
+	for _, c := range []struct {
+		name  string
+		modes []bool // TimingDriven per implementation
+	}{
+		{"gcd", []bool{true}},
+		{"usb_phy", []bool{true}},
+		{"sasc", []bool{true}},
+		{"fir", []bool{false, true}},
+		{"sha256", []bool{false, true}},
+	} {
+		b, ok := BenchmarkByName(c.name)
+		if !ok {
+			t.Fatalf("no benchmark %s", c.name)
+		}
+		cfg := Cfg1()
+		cfg.SelectedOutputs = b.SelectedOutputs
+		r, err := NewEngine(WithConfig(cfg)).RunSource(ctx, b.Source())
+		if err != nil || r.Err != nil {
+			t.Fatalf("%s: %v / %v", c.name, err, r.Err)
+		}
+		for _, td := range c.modes {
+			mcfg := *cfg
+			mcfg.TimingDriven = td
+			label := c.name + "/default"
+			if td {
+				label = c.name + "/timing"
+			}
+			sol := &Solution{Score: r.Solution.Score}
+			for _, f := range r.Solution.Fabrics {
+				fc := *f // Implement replaces the fabric; keep the fast-mode one
+				sol.Fabrics = append(sol.Fabrics, &fc)
+			}
+			if err := NewEngine(WithConfig(&mcfg)).Implement(ctx, sol); err != nil {
+				t.Fatalf("%s implement: %v", label, err)
+			}
+			for _, f := range sol.Fabrics {
+				got = append(got, implFingerprint(label, f))
+			}
+		}
+	}
+	if strings.Join(got, "\n") != strings.Join(golden, "\n") {
+		t.Fatalf("implementation deviated from the pinned baseline:\ngot:\n%s\nwant:\n%s",
+			strings.Join(got, "\n"), strings.Join(golden, "\n"))
+	}
+}
+
 // TestTimingDrivenImprovesFmax is the headline acceptance check of the
 // timing-driven flow: on usb_phy (and sasc), criticality-driven place &
 // route strictly improves the exact routed Fmax over the default mode.
