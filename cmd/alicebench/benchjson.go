@@ -1,10 +1,8 @@
 package main
 
 import (
-	"context"
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 )
 
@@ -154,42 +152,16 @@ type structuralBench struct {
 // units cover the same designs.
 var implDesigns = []string{"gcd", "usb_phy", "sasc"}
 
-// benchNoWarmup propagates -no-warmup into the sweep grid: the attack
-// units then measure pure SAT cost (and get distinct unit ids, so warm
-// and cold shard stores never alias).
-var benchNoWarmup bool
-
-// benchJSON runs the full sweep in-process: the same unit grid the
-// sharded runner executes, fanned across a worker pool, merged in grid
-// order. -shard runs the identical units as journaled resumable jobs.
-func benchJSON(outPath string) {
+// benchJSON runs the full sweep on this process: the sharded runner's
+// slot pool over a temporary directory, merged in grid order. With
+// noWarmup the attack units measure pure SAT cost.
+func benchJSON(outPath string, noWarmup bool) {
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	t0 := time.Now()
 
-	grid := sweepGrid(benchNoWarmup)
-	results := make([]unitResult, len(grid))
-	errs := make([]error, len(grid))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	ctx := context.Background()
-	for i, u := range grid {
-		wg.Add(1)
-		go func(i int, u sweepUnit) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			results[i], errs[i] = runUnit(ctx, u)
-		}(i, u)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			check(fmt.Errorf("unit %s: %w", grid[i].id(), err))
-		}
-	}
-
-	rep := mergeUnits(results)
+	rep, err := sweepLocal(sweepGrid(noWarmup))
+	check(err)
 	rep.TotalSeconds = time.Since(t0).Seconds()
 	runtime.ReadMemStats(&m1)
 	rep.AllocBytes = m1.TotalAlloc - m0.TotalAlloc

@@ -34,10 +34,9 @@ func TestShardChaosKillZombieFence(t *testing.T) {
 	if _, err := dead.lm.Acquire(grid[0].id()); err != nil {
 		t.Fatal(err)
 	}
-	dead.close()
 
-	// Worker "zombie" claims a different unit, computes a result into
-	// its own log — and then stalls: no renewals, no commit, until the
+	// Worker "zombie" claims a different unit, computes its rows — and
+	// then stalls holding them: no renewals, no commit, until the
 	// survivor has long since reclaimed and committed the unit.
 	zombie := newTestWorker(t, dir, "zombie", ttl, grid, nil)
 	zu := grid[1]
@@ -49,11 +48,9 @@ func TestShardChaosKillZombieFence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	zdata, err := json.Marshal(zres)
+	zres.Attacks[0].DIPs = -1 // unlike the survivor's row, so a leak shows
+	zrows, err := json.Marshal(zres)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := zombie.st.Put(unitKey(zu.id()), zdata); err != nil {
 		t.Fatal(err)
 	}
 
@@ -69,7 +66,7 @@ func TestShardChaosKillZombieFence(t *testing.T) {
 	// The zombie wakes up and tries its late commit: it must be fenced
 	// with the typed stale-epoch error — never a silent success, never
 	// an untyped failure.
-	err = zombie.lm.Commit(zl)
+	err = zombie.lm.Commit(zl, zrows)
 	var stale *lease.StaleEpochError
 	if !errors.As(err, &stale) {
 		t.Fatalf("zombie commit error = %v (%T), want *lease.StaleEpochError", err, err)
@@ -80,7 +77,6 @@ func TestShardChaosKillZombieFence(t *testing.T) {
 	if zombie.lm.Stats().Fenced != 1 {
 		t.Fatalf("zombie fence counter = %d, want 1", zombie.lm.Stats().Fenced)
 	}
-	zombie.close()
 
 	// Exactly one committed result per unit: one done marker each, and
 	// every one names the survivor (the only worker that finished).
@@ -110,36 +106,11 @@ func TestShardChaosKillZombieFence(t *testing.T) {
 		}
 	}
 
-	// The merge must ignore the zombie's orphaned result and be
-	// byte-identical to a clean single-process run of the same grid.
-	chaosRep, err := surv.merge()
-	if err != nil {
-		t.Fatal(err)
-	}
-	chaosPath := filepath.Join(dir, "chaos.json")
-	if err := writeReport(chaosRep, chaosPath); err != nil {
-		t.Fatal(err)
-	}
-
-	soloDir := t.TempDir()
-	solo := newTestWorker(t, soloDir, "solo", ttl, grid, nil)
+	// The merge must never see the zombie's rows and be byte-identical
+	// to a clean single-process run of the same grid.
+	solo := newTestWorker(t, t.TempDir(), "solo", ttl, grid, nil)
 	runToCompletion(t, solo)
-	soloRep, err := solo.merge()
-	if err != nil {
-		t.Fatal(err)
-	}
-	soloPath := filepath.Join(soloDir, "solo.json")
-	if err := writeReport(soloRep, soloPath); err != nil {
-		t.Fatal(err)
-	}
-	chaosBytes, err := os.ReadFile(chaosPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	soloBytes, err := os.ReadFile(soloPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	chaosBytes, soloBytes := mergedBytes(t, surv), mergedBytes(t, solo)
 	if !bytes.Equal(chaosBytes, soloBytes) {
 		t.Fatalf("chaos-schedule merge differs from single-process run:\n%s\nvs\n%s",
 			chaosBytes, soloBytes)

@@ -28,7 +28,7 @@ const delayTolerance = 1.05
 // modeled critical-path delay beyond the tolerance. This is the CI
 // guard that keeps PR 2's hot-path wins (and now the timing story) from
 // silently eroding.
-func compareBench(baselinePath, outPath string) {
+func compareBench(baselinePath, outPath string, noWarmup bool) {
 	data, err := os.ReadFile(baselinePath)
 	check(err)
 	var base benchReport
@@ -40,7 +40,7 @@ func compareBench(baselinePath, outPath string) {
 		fmt.Printf("note: writing current sweep to %s to preserve the baseline\n", outPath)
 	}
 
-	benchJSON(outPath)
+	benchJSON(outPath, noWarmup)
 	cur, err := os.ReadFile(outPath)
 	check(err)
 	var now benchReport

@@ -11,7 +11,7 @@
 //	alicebench -arch [-design gcd] # fabric-family sweep: security vs overhead
 //	alicebench -json               # benchmark sweep -> BENCH.json (perf trajectory)
 //	alicebench -compare BENCH.json # fail on >2x kernel wall-time regression
-//	alicebench -shard -data DIR    # the -json sweep as resumable journaled units
+//	alicebench -shard -data DIR    # the -json sweep as resumable lease-owned units
 //	alicebench -structural gcd     # per-fabric structural key analysis as JSON
 package main
 
@@ -48,12 +48,11 @@ func main() {
 		structD = flag.String("structural", "", "run the flow on one design and print its per-fabric structural key analysis as JSON")
 	)
 	flag.Parse()
-	benchNoWarmup = *noWarm
 	switch {
 	case *structD != "":
 		structuralRows(*structD)
 	case *compare != "":
-		compareBench(*compare, *outPath)
+		compareBench(*compare, *outPath, *noWarm)
 	case *shard:
 		runSharded(*dataDir, *workID, *workers, *leaseT, *gridSel, *outPath, *noWarm)
 	case *archSw:
@@ -63,7 +62,7 @@ func main() {
 		}
 		runArchSweep(os.Stdout, d)
 	case *jsonOut:
-		benchJSON(*outPath)
+		benchJSON(*outPath, *noWarm)
 	case *table == 1:
 		table1()
 	case *table == 2:

@@ -24,35 +24,29 @@ import (
 // units — one per (design, cfg) flow run, per implemented design, per
 // attack-corpus target, per fabric-attack design, per sim-throughput
 // design, and per structural-analysis row (corpus targets and
-// implemented designs). The plain -json path runs the same units
-// through an in-memory worker pool; -shard runs them as lease-owned
-// jobs over internal/lease + internal/jobq + internal/store (see
-// worker.go), so a killed sweep resumes where it stopped and any
-// number of worker processes can cooperate on one data directory; the
-// merged report is assembled from committed per-unit rows in
-// deterministic grid order (merging a complete sweep twice is
-// byte-identical).
+// implemented designs). Both -json and -shard run them as lease-owned
+// units whose done markers carry their rows (see worker.go): -json over
+// a temporary directory, -shard over a shared one, so a killed sweep
+// resumes where it stopped and any number of worker processes can
+// cooperate on one data directory. The merged report is assembled from
+// the committed per-unit rows in deterministic grid order (merging a
+// complete sweep twice is byte-identical).
 
-// unitPrefix namespaces per-unit result records inside the shard store,
-// next to the queue's own "job\x00" journal records.
-const unitPrefix = "unit\x00"
-
-// sweepUnit is one independently runnable cell of the sweep grid. The
-// JSON encoding is the job payload; the id doubles as the store key
-// suffix and the jobq job name.
+// sweepUnit is one independently runnable cell of the sweep grid. Its
+// id names the unit's lease and done marker.
 type sweepUnit struct {
 	// Kind is flow | impl | attack | fabattack | sim | structural.
-	Kind string `json:"kind"`
+	Kind string
 	// Design selects the benchmark (flow/impl/fabattack/sim units).
-	Design string `json:"design,omitempty"`
+	Design string
 	// Cfg is the paper configuration of a flow unit ("cfg1"/"cfg2").
-	Cfg string `json:"cfg,omitempty"`
+	Cfg string
 	// Target selects the attack-corpus design (attack units).
-	Target string `json:"target,omitempty"`
+	Target string
 	// NoWarmup disables the attack warm-up (pure SAT cost). It is part
 	// of the unit id: warm and cold runs of the same cell are distinct
-	// results and never alias in the store.
-	NoWarmup bool `json:"no_warmup,omitempty"`
+	// results and never share a done marker.
+	NoWarmup bool
 }
 
 // id is the unit's stable identity across runs.
@@ -72,8 +66,6 @@ func (u sweepUnit) id() string {
 	}
 	return strings.Join(parts, ":")
 }
-
-func unitKey(id string) string { return unitPrefix + id }
 
 // unitResult carries the BENCH rows one unit produced; the merged
 // report is the concatenation of these in grid order.

@@ -3,15 +3,12 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"alice/internal/jobq"
 )
 
 func TestSweepGridIDsStableAndUnique(t *testing.T) {
@@ -28,7 +25,7 @@ func TestSweepGridIDsStableAndUnique(t *testing.T) {
 		seen[id] = true
 	}
 	// Warm and cold runs of the same cell must have distinct ids, so
-	// their stored results never alias.
+	// their committed results never alias.
 	warm := sweepUnit{Kind: "attack", Target: "mix6"}
 	cold := sweepUnit{Kind: "attack", Target: "mix6", NoWarmup: true}
 	if warm.id() == cold.id() {
@@ -83,7 +80,6 @@ func newTestWorker(t *testing.T, dir, id string, ttl time.Duration, grid []sweep
 		t.Fatal(err)
 	}
 	w.runner = cannedRunner(calls)
-	t.Cleanup(w.close)
 	return w
 }
 
@@ -99,9 +95,29 @@ func runToCompletion(t *testing.T, w *shardWorker) {
 	}
 }
 
+// mergedBytes merges w's committed rows and returns the bytes
+// writeReport writes for them.
+func mergedBytes(t *testing.T, w *shardWorker) []byte {
+	t.Helper()
+	rep, err := w.merge()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "BENCH.json")
+	if err := writeReport(rep, path); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
 // TestShardMergeDeterministic pins the acceptance property of the
 // sharded runner: a second worker on a completed data dir recomputes
-// nothing and reproduces the report byte for byte.
+// nothing and reproduces the report byte for byte — even when the dir
+// holds nothing but a copy of the done markers.
 func TestShardMergeDeterministic(t *testing.T) {
 	dir := t.TempDir()
 	grid := filterGrid(sweepGrid(false), "attack:")
@@ -109,15 +125,7 @@ func TestShardMergeDeterministic(t *testing.T) {
 
 	w1 := newTestWorker(t, dir, "w1", time.Second, grid, &calls)
 	runToCompletion(t, w1)
-	rep1, err := w1.merge()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p1 := filepath.Join(dir, "a.json")
-	p2 := filepath.Join(dir, "b.json")
-	if err := writeReport(rep1, p1); err != nil {
-		t.Fatal(err)
-	}
+	b1 := mergedBytes(t, w1)
 	ran := calls.Load()
 	if ran != int64(len(grid)) {
 		t.Fatalf("first pass ran %d units, want %d", ran, len(grid))
@@ -127,34 +135,35 @@ func TestShardMergeDeterministic(t *testing.T) {
 	// unit committed: zero recomputes, pure merge.
 	w2 := newTestWorker(t, dir, "w2", time.Second, grid, &calls)
 	runToCompletion(t, w2)
-	rep2, err := w2.merge()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := writeReport(rep2, p2); err != nil {
-		t.Fatal(err)
-	}
+	b2 := mergedBytes(t, w2)
 	if calls.Load() != ran {
 		t.Fatalf("resumed run recomputed units: %d calls, want %d", calls.Load(), ran)
-	}
-	b1, err := os.ReadFile(p1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, err := os.ReadFile(p2)
-	if err != nil {
-		t.Fatal(err)
 	}
 	if !bytes.Equal(b1, b2) {
 		t.Fatalf("resumed merge is not byte-identical:\n%s\nvs\n%s", b1, b2)
 	}
+
+	// The done markers alone are the sweep's state: a fresh worker on a
+	// directory holding only a copy of done/ recomputes nothing either.
+	bare := t.TempDir()
+	if err := os.CopyFS(filepath.Join(bare, "done"), os.DirFS(filepath.Join(dir, "done"))); err != nil {
+		t.Fatal(err)
+	}
+	w3 := newTestWorker(t, bare, "w3", time.Second, grid, &calls)
+	runToCompletion(t, w3)
+	b3 := mergedBytes(t, w3)
+	if calls.Load() != ran {
+		t.Fatalf("worker on copied done/ recomputed units: %d calls, want %d", calls.Load(), ran)
+	}
+	if !bytes.Equal(b1, b3) {
+		t.Fatalf("merge from copied done/ is not byte-identical:\n%s\nvs\n%s", b1, b3)
+	}
 }
 
 // TestShardReclaimsKilledWorkerUnit simulates a worker killed mid-unit:
-// its lease sits unexpired and unreleased on disk, its journal holds
-// the running job, and no result was committed. A different worker
-// must wait out the TTL, reclaim the unit at the next epoch, and
-// complete the grid.
+// its lease sits unexpired and unreleased on disk, and no result was
+// committed. A different worker must wait out the TTL, reclaim the unit
+// at the next epoch, and complete the grid.
 func TestShardReclaimsKilledWorkerUnit(t *testing.T) {
 	dir := t.TempDir()
 	grid := filterGrid(sweepGrid(false), "attack:xor2,attack:add4")
@@ -167,23 +176,6 @@ func TestShardReclaimsKilledWorkerUnit(t *testing.T) {
 	if _, err := dead.lm.Acquire(grid[0].id()); err != nil {
 		t.Fatal(err)
 	}
-	payload, err := json.Marshal(grid[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	killed := jobq.Job{
-		ID: "job-1", Name: grid[0].id(), Payload: payload,
-		State: jobq.StateRunning, Attempts: 1,
-		SubmittedAt: time.Now().UTC(), StartedAt: time.Now().UTC(),
-	}
-	raw, err := json.Marshal(&killed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dead.st.Put("job\x00job-1", raw); err != nil {
-		t.Fatal(err)
-	}
-	dead.close()
 
 	var calls atomic.Int64
 	surv := newTestWorker(t, dir, "surv", 300*time.Millisecond, grid, &calls)
@@ -218,10 +210,10 @@ func TestShardAdoptsOwnLeaseAfterRestart(t *testing.T) {
 	grid := filterGrid(sweepGrid(false), "attack:xor2")
 
 	first := newTestWorker(t, dir, "w1", time.Hour, grid, nil)
+	// Crash: the hour-long lease stays on disk.
 	if _, err := first.lm.Acquire(grid[0].id()); err != nil {
 		t.Fatal(err)
 	}
-	first.close() // crash: the hour-long lease stays on disk
 
 	reborn := newTestWorker(t, dir, "w1", time.Hour, grid, nil)
 	start := time.Now()
@@ -232,63 +224,6 @@ func TestShardAdoptsOwnLeaseAfterRestart(t *testing.T) {
 	st := reborn.lm.Stats()
 	if st.Adoptions < 1 {
 		t.Fatalf("stats = %+v, want at least one adoption", st)
-	}
-}
-
-// TestShardHandlerIdempotent pins the crash window between the result
-// Put and the commit: a handler seeing its own stored result must
-// commit it without recomputing.
-func TestShardHandlerIdempotent(t *testing.T) {
-	dir := t.TempDir()
-	grid := filterGrid(sweepGrid(false), "attack:xor2")
-	var calls atomic.Int64
-	w := newTestWorker(t, dir, "w1", time.Second, grid, &calls)
-
-	u := grid[0]
-	canned := unitResult{Attacks: []attackBench{{Target: "xor2", KeyBits: 99, DIPs: 7}}}
-	data, err := json.Marshal(canned)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.st.Put(unitKey(u.id()), data); err != nil {
-		t.Fatal(err)
-	}
-	payload, err := json.Marshal(u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := w.handle(t.Context(), &jobq.Job{ID: "job-1", Payload: payload})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var o unitOutcome
-	if err := json.Unmarshal(got, &o); err != nil {
-		t.Fatal(err)
-	}
-	if o.Status != outcomeCommitted {
-		t.Fatalf("outcome %+v, want committed", o)
-	}
-	if calls.Load() != 0 {
-		t.Fatal("handler recomputed a stored unit")
-	}
-	// Running the same unit again acks the existing commit.
-	got, err = w.handle(t.Context(), &jobq.Job{ID: "job-2", Payload: payload})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(got, &o); err != nil {
-		t.Fatal(err)
-	}
-	if o.Status != outcomeAlready || o.Worker != "w1" {
-		t.Fatalf("second run outcome %+v, want already/w1", o)
-	}
-	// The committed row is what the merge serves.
-	rep, err := w.merge()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Attacks) != 1 || rep.Attacks[0].KeyBits != 99 {
-		t.Fatalf("merge served %+v, want the stored canned row", rep.Attacks)
 	}
 }
 
@@ -350,5 +285,27 @@ func TestShardDrainReleasesLeases(t *testing.T) {
 		} else if held {
 			t.Fatalf("unit %s still held after drain", u.id())
 		}
+	}
+}
+
+// TestSweepLocalLeavesNoDirectory pins the -json path: the sweep runs
+// through the same slot pool over a temporary directory, which is gone
+// by the time the report comes back.
+func TestSweepLocalLeavesNoDirectory(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	rep, err := sweepLocal(filterGrid(sweepGrid(false), "attack:xor2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Attacks) != 1 || rep.Attacks[0].Target != "xor2" {
+		t.Fatalf("attacks = %+v, want the xor2 row", rep.Attacks)
+	}
+	ents, err := os.ReadDir(tmp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 0 {
+		t.Fatalf("sweep left %d entries in the temporary directory", len(ents))
 	}
 }

@@ -1,24 +1,22 @@
 package main
 
-// The fault-tolerant multi-process sweep engine behind -shard.
+// The fault-tolerant multi-process sweep engine behind -shard and -json.
 //
-// N alicebench processes share one data directory. Each worker owns a
-// private internal/store log (single-writer preserved: no cross-
-// process log sharing) and coordinates unit ownership through
-// internal/lease: a unit is claimed with an epoch-fenced lease file,
-// computed under a heartbeat Guard, appended to the worker's own log,
-// and then committed with the lease manager's exactly-once done
-// marker. A worker that dies mid-unit stops renewing; after the TTL
-// any survivor reclaims the unit at the next epoch. A worker that
-// merely stalled (a zombie) wakes to find its commit fenced with a
-// typed *lease.StaleEpochError — its result never enters the merge.
+// N alicebench processes share one data directory and coordinate unit
+// ownership through internal/lease: a unit is claimed with an
+// epoch-fenced lease file, computed under a heartbeat Guard, and
+// committed with the lease manager's exactly-once done marker, which
+// carries the unit's JSON rows. A worker that dies mid-unit stops
+// renewing; after the TTL any survivor reclaims the unit at the next
+// epoch. A worker that merely stalled (a zombie) wakes to find its
+// commit fenced with a typed *lease.StaleEpochError — its rows never
+// enter the merge.
 //
-// The merge walks the canonical grid order, resolves each unit's
-// committing worker from its done marker, and reads that worker's log
-// through store.ReadSnapshot. Since exactly one result per unit ever
-// commits and the grid order is fixed, the merged BENCH.json is
-// byte-identical regardless of worker count, crash schedule, or
-// reclamation history.
+// The merge decodes the done markers in canonical grid order. Since
+// exactly one result per unit ever commits and the grid order is fixed,
+// the merged BENCH.json is byte-identical regardless of worker count,
+// crash schedule, or reclamation history, and a sweep's whole state is
+// the files in its data directory.
 
 import (
 	"context"
@@ -27,71 +25,37 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"syscall"
 	"time"
 
-	"alice/internal/jobq"
 	"alice/internal/lease"
-	"alice/internal/store"
 )
 
-// workersDirName holds the per-worker store logs inside the data dir.
-const workersDirName = "workers"
-
-// Unit outcome statuses. Protocol outcomes (held, lost, already,
-// fenced) are successful job results, not errors: they are expected
-// multi-worker traffic, and routing them through jobq's failure path
-// would retry or quarantine perfectly healthy coordination.
-const (
-	outcomeCommitted = "committed" // this worker computed and committed the unit
-	outcomeAlready   = "already"   // another worker had already committed it
-	outcomeHeld      = "held"      // another worker holds a live lease; revisit later
-	outcomeLost      = "lost"      // our lease was reclaimed mid-compute (guard fired)
-	outcomeFenced    = "fenced"    // we computed, but the commit was epoch-fenced
-)
-
-// unitOutcome is the job-result envelope for one unit attempt.
-type unitOutcome struct {
-	Status string `json:"status"`
-	Worker string `json:"worker,omitempty"`
-}
-
-func outcomeJSON(status, worker string) ([]byte, error) {
-	return json.Marshal(unitOutcome{Status: status, Worker: worker})
-}
-
-// shardWorker is one sweep worker process: its own store log, a lease
-// manager over the shared directory, and a local jobq pool.
+// shardWorker is one sweep worker process: a lease manager over the
+// shared directory and a pool of slots that claim, compute and commit
+// units.
 type shardWorker struct {
-	dir      string
-	id       string
 	workers  int
 	grid     []sweepUnit
 	poll     time.Duration
-	st       *store.Store
 	lm       *lease.Manager
 	progress func(format string, args ...any)
 	// runner executes one unit; tests substitute a canned runner.
 	runner func(ctx context.Context, u sweepUnit) (unitResult, error)
 
-	// kick wakes the source's poll sleep when a local job settles, so
-	// grid completion is noticed immediately instead of on the next
-	// TTL-paced scan.
-	kick chan struct{}
-
-	mu       sync.Mutex
-	failures map[string]string // unit id -> first compute error
-	fenced   int               // fenced outcomes observed (zombie side)
+	mu sync.Mutex
+	// claimed holds the units a slot of this process has leased, so no
+	// sibling slot adopts (and thereby fences) the lease.
+	claimed map[string]bool
+	// settled is closed and replaced whenever a local unit settles,
+	// waking the slots that found nothing to claim.
+	settled chan struct{}
 }
 
-// newShardWorker opens the worker's store log and lease manager.
+// newShardWorker opens the worker's lease manager on dataDir.
 func newShardWorker(dataDir, workerID string, ttl time.Duration, workers int, grid []sweepUnit, progress func(format string, args ...any)) (*shardWorker, error) {
-	if len(grid) == 0 {
-		return nil, fmt.Errorf("sweep grid is empty")
-	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -102,22 +66,15 @@ func newShardWorker(dataDir, workerID string, ttl time.Duration, workers int, gr
 	if err != nil {
 		return nil, err
 	}
-	st, err := store.Open(filepath.Join(dataDir, workersDirName, workerID+".store"))
-	if err != nil {
-		return nil, err
-	}
 	w := &shardWorker{
-		dir:      dataDir,
-		id:       workerID,
 		workers:  workers,
 		grid:     grid,
 		poll:     lm.TTL() / 3,
-		st:       st,
 		lm:       lm,
 		progress: progress,
 		runner:   runUnit,
-		kick:     make(chan struct{}, 1),
-		failures: make(map[string]string),
+		claimed:  make(map[string]bool),
+		settled:  make(chan struct{}),
 	}
 	if w.poll <= 0 {
 		w.poll = time.Millisecond
@@ -125,219 +82,150 @@ func newShardWorker(dataDir, workerID string, ttl time.Duration, workers int, gr
 	return w, nil
 }
 
-func (w *shardWorker) close() { _ = w.st.Close() }
+// run drives the slot pool until the grid is fully committed, a unit
+// fails, or ctx is canceled (SIGINT/SIGTERM graceful drain: stop
+// claiming new units, give in-flight ones the drain budget to finish
+// and commit, then cancel them; each gives its lease back).
+func (w *shardWorker) run(ctx context.Context, drain time.Duration) error {
+	claiming, stopClaiming := context.WithCancelCause(ctx)
+	defer stopClaiming(nil)
+	work, cancelWork := context.WithCancel(context.WithoutCancel(ctx))
+	defer cancelWork()
+	stopDrain := context.AfterFunc(ctx, func() { time.AfterFunc(drain, cancelWork) })
+	defer stopDrain()
 
-func (w *shardWorker) storePath(workerID string) string {
-	return filepath.Join(w.dir, workersDirName, workerID+".store")
+	var wg sync.WaitGroup
+	for range w.workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := w.slot(claiming, work); err != nil {
+				stopClaiming(err)
+			}
+		}()
+	}
+	wg.Wait()
+	return context.Cause(claiming)
 }
 
-// handle executes one unit under the lease protocol. It is idempotent
-// across crashes: a unit already committed is acked without recompute,
-// and a result that reached our log before a crash (the window between
-// store write and commit) is reused rather than recomputed.
-func (w *shardWorker) handle(ctx context.Context, job *jobq.Job) ([]byte, error) {
-	var u sweepUnit
-	if err := json.Unmarshal(job.Payload, &u); err != nil {
-		return nil, fmt.Errorf("decoding unit payload: %w", err)
+// slot claims, computes and commits units until every unit is
+// committed or ctx stops the claiming. Units compute under work, which
+// outlives ctx by the drain budget.
+func (w *shardWorker) slot(ctx, work context.Context) error {
+	for ctx.Err() == nil {
+		w.mu.Lock()
+		wake := w.settled
+		w.mu.Unlock()
+		l, u, done, err := w.claim()
+		if err != nil || done {
+			return err
+		}
+		if l == nil {
+			select {
+			case <-ctx.Done():
+			case <-wake:
+			case <-time.After(w.poll):
+			}
+			continue
+		}
+		if err := w.process(work, l, u); err != nil {
+			return err
+		}
+		w.mu.Lock()
+		delete(w.claimed, u.id())
+		close(w.settled)
+		w.settled = make(chan struct{})
+		w.mu.Unlock()
 	}
-	id := u.id()
-	if c, ok, err := w.lm.Committed(id); err != nil {
-		return nil, err
-	} else if ok {
-		return outcomeJSON(outcomeAlready, c.Worker)
-	}
-	l, err := w.lm.Acquire(id)
+	return nil
+}
+
+// claim leases the first uncommitted grid unit that no slot of this
+// process holds, skipping units under a live foreign lease or committed
+// meanwhile. It returns a nil lease when nothing is claimable now, and
+// done once every unit is committed.
+func (w *shardWorker) claim() (*lease.Lease, sweepUnit, bool, error) {
+	commits, err := w.lm.Commits()
 	if err != nil {
-		var held *lease.HeldError
-		if errors.As(err, &held) {
-			return outcomeJSON(outcomeHeld, held.Holder)
-		}
-		var comm *lease.CommittedError
-		if errors.As(err, &comm) {
-			return outcomeJSON(outcomeAlready, comm.By.Worker)
-		}
-		return nil, err
+		return nil, sweepUnit{}, false, err
 	}
+	done := true
+	for _, u := range w.grid {
+		id := u.id()
+		if _, ok := commits[id]; ok {
+			continue
+		}
+		done = false
+		w.mu.Lock()
+		mine := w.claimed[id]
+		w.claimed[id] = true
+		w.mu.Unlock()
+		if mine {
+			continue
+		}
+		l, err := w.lm.Acquire(id)
+		if err == nil {
+			return l, u, false, nil
+		}
+		w.mu.Lock()
+		delete(w.claimed, id)
+		w.mu.Unlock()
+		var held *lease.HeldError
+		var comm *lease.CommittedError
+		if !errors.As(err, &held) && !errors.As(err, &comm) {
+			return nil, sweepUnit{}, false, err
+		}
+	}
+	return nil, sweepUnit{}, done, nil
+}
+
+// process computes u under l and commits its rows. A lost lease, a
+// fenced commit and a unit already committed elsewhere are logged, not
+// returned; so is a unit the drain cut short.
+func (w *shardWorker) process(work context.Context, l *lease.Lease, u sweepUnit) error {
+	id := u.id()
 	committed := false
 	defer func() {
 		if !committed {
-			// Give the unit back immediately so peers need not wait out
-			// the TTL — the graceful half of every non-commit exit
-			// (compute error, drain cancellation, fencing).
+			// Give the unit back at once so no claimant waits out the
+			// TTL — the graceful half of every exit without a commit.
 			_ = w.lm.Release(l)
 		}
 	}()
-	gctx, stopGuard := w.lm.Guard(ctx, l)
+	gctx, stopGuard := w.lm.Guard(work, l)
 	defer stopGuard()
 
-	key := unitKey(id)
-	data, ok := w.st.Get(key)
-	if !ok {
-		res, err := w.runner(gctx, u)
-		if err != nil {
-			if gctx.Err() != nil {
-				var stale *lease.StaleEpochError
-				if cause := context.Cause(gctx); errors.As(cause, &stale) {
-					// Reclaimed mid-compute: not a failure, the unit is
-					// someone else's now.
-					return outcomeJSON(outcomeLost, stale.Holder)
-				}
-			}
-			return nil, err
+	res, err := w.runner(gctx, u)
+	if err != nil {
+		switch {
+		case work.Err() != nil:
+			w.progress("  %s interrupted", id)
+			return nil
+		case gctx.Err() != nil:
+			w.progress("  %s lost: %v", id, context.Cause(gctx))
+			return nil
 		}
-		if data, err = json.Marshal(res); err != nil {
-			return nil, err
-		}
-		if err := w.st.Put(key, data); err != nil {
-			return nil, err
-		}
+		return fmt.Errorf("unit %s: %w", id, err)
 	}
-	err = w.lm.Commit(l)
+	rows, err := json.Marshal(res)
+	if err != nil {
+		return fmt.Errorf("unit %s: %w", id, err)
+	}
+	err = w.lm.Commit(l, rows)
 	var stale *lease.StaleEpochError
 	var comm *lease.CommittedError
 	switch {
 	case err == nil:
 		committed = true
-		return outcomeJSON(outcomeCommitted, w.id)
+		w.progress("  %s committed (epoch %d)", id, l.Epoch)
 	case errors.As(err, &stale):
-		// The zombie path: we stalled past the TTL, someone reclaimed
-		// the unit, and the fencing epoch refused our late commit. The
-		// computed result stays in our log as dead weight; the merge
-		// only ever reads the committed worker's copy.
-		return outcomeJSON(outcomeFenced, stale.Holder)
+		w.progress("  %s fenced: epoch %d superseded by worker %s", id, l.Epoch, stale.Holder)
 	case errors.As(err, &comm):
-		return outcomeJSON(outcomeAlready, comm.By.Worker)
+		w.progress("  %s already committed by worker %s", id, comm.By.Worker)
 	default:
-		return nil, err
+		return fmt.Errorf("unit %s: %w", id, err)
 	}
-}
-
-// leaseSource feeds the jobq pool with claimable units: uncommitted,
-// not already live in this process's queue, and not under a live
-// foreign lease. It blocks (polling) while uncommitted units are held
-// elsewhere — they may yet expire and need reclaiming — and drains
-// only when every grid unit has a done marker.
-type leaseSource struct {
-	w *shardWorker
-	q *jobq.Queue
-}
-
-func (s *leaseSource) Next(ctx context.Context) (jobq.SourceItem, error) {
-	for {
-		if err := ctx.Err(); err != nil {
-			return jobq.SourceItem{}, err
-		}
-		s.w.mu.Lock()
-		for id, msg := range s.w.failures {
-			s.w.mu.Unlock()
-			return jobq.SourceItem{}, fmt.Errorf("unit %s failed: %s", id, msg)
-		}
-		s.w.mu.Unlock()
-		commits, err := s.w.lm.Commits()
-		if err != nil {
-			return jobq.SourceItem{}, err
-		}
-		live := make(map[string]bool)
-		for _, j := range s.q.List() {
-			if !j.State.Terminal() {
-				live[j.Name] = true
-			}
-		}
-		allDone := true
-		for _, u := range s.w.grid {
-			id := u.id()
-			if _, ok := commits[id]; ok {
-				continue
-			}
-			allDone = false
-			if live[id] {
-				continue
-			}
-			if h, held, err := s.w.lm.Holder(id); err != nil {
-				return jobq.SourceItem{}, err
-			} else if held && h.Worker != s.w.id {
-				continue
-			}
-			payload, err := json.Marshal(u)
-			if err != nil {
-				return jobq.SourceItem{}, err
-			}
-			return jobq.SourceItem{Name: id, Payload: payload}, nil
-		}
-		if allDone {
-			return jobq.SourceItem{}, jobq.ErrSourceDrained
-		}
-		select {
-		case <-ctx.Done():
-			return jobq.SourceItem{}, ctx.Err()
-		case <-s.w.kick:
-		case <-time.After(s.w.poll):
-		}
-	}
-}
-
-// noteDone records each settled unit attempt: compute failures abort
-// the sweep via the source; protocol outcomes are just logged.
-func (w *shardWorker) noteDone(j jobq.Job) {
-	defer func() {
-		select {
-		case w.kick <- struct{}{}:
-		default:
-		}
-	}()
-	switch j.State {
-	case jobq.StateSucceeded:
-		var o unitOutcome
-		_ = json.Unmarshal(j.Result, &o)
-		if o.Status == outcomeFenced {
-			w.mu.Lock()
-			w.fenced++
-			w.mu.Unlock()
-		}
-		w.progress("  %s %s (worker %s, attempt %d)", j.Name, o.Status, o.Worker, j.Attempts)
-	case jobq.StateFailed, jobq.StateQuarantined:
-		w.mu.Lock()
-		if _, ok := w.failures[j.Name]; !ok {
-			w.failures[j.Name] = j.Error
-		}
-		w.mu.Unlock()
-	}
-}
-
-// run drives the worker until the grid is fully committed, a unit
-// fails, or ctx is canceled (SIGINT/SIGTERM graceful drain: stop
-// claiming new units, give in-flight ones the drain budget to finish
-// and commit, then release whatever is left).
-func (w *shardWorker) run(ctx context.Context, drainBudget time.Duration) error {
-	q, err := jobq.New(jobq.Options{
-		Workers: w.workers,
-		Journal: w.st,
-		Handler: w.handle,
-	})
-	if err != nil {
-		return err
-	}
-	src := &leaseSource{w: w, q: q}
-	runErr := q.DrainSource(ctx, src, w.noteDone)
-	if ctx.Err() != nil {
-		// Interrupted: units that never started must not start now.
-		// Canceling them is a protocol no-op — a queued job holds no
-		// lease (handlers acquire on start) — and leaves them
-		// uncommitted for the next run to claim.
-		for _, j := range q.List() {
-			if j.State == jobq.StateQueued {
-				q.Cancel(j.ID)
-			}
-		}
-	}
-	sctx, cancel := context.WithTimeout(context.Background(), drainBudget)
-	defer cancel()
-	// Graceful drain: in-flight handlers keep running (finishing a
-	// near-done unit beats re-running it) until the budget expires;
-	// a hard stop then cancels them, and each handler's deferred
-	// Release gives its lease back before exiting.
-	_ = q.Shutdown(sctx)
-	return runErr
+	return nil
 }
 
 // complete reports whether every grid unit has a committed result, and
@@ -356,37 +244,45 @@ func (w *shardWorker) complete() (int, bool, error) {
 	return n, n == len(w.grid), nil
 }
 
-// merge assembles the report from the committed results, reading each
-// committing worker's log read-only in canonical grid order.
+// merge assembles the report from the rows the done markers carry, in
+// canonical grid order.
 func (w *shardWorker) merge() (*benchReport, error) {
 	commits, err := w.lm.Commits()
 	if err != nil {
 		return nil, err
 	}
-	snaps := make(map[string]*store.Snapshot)
 	results := make([]unitResult, len(w.grid))
 	for i, u := range w.grid {
-		id := u.id()
-		c, ok := commits[id]
+		c, ok := commits[u.id()]
 		if !ok {
-			return nil, fmt.Errorf("unit %s has no committed result", id)
+			return nil, fmt.Errorf("unit %s has no committed result", u.id())
 		}
-		snap, ok := snaps[c.Worker]
-		if !ok {
-			if snap, err = store.ReadSnapshot(w.storePath(c.Worker)); err != nil {
-				return nil, fmt.Errorf("reading worker %s log: %w", c.Worker, err)
-			}
-			snaps[c.Worker] = snap
-		}
-		data, ok := snap.Get(unitKey(id))
-		if !ok {
-			return nil, fmt.Errorf("unit %s committed by worker %s but missing from its log", id, c.Worker)
-		}
-		if err := json.Unmarshal(data, &results[i]); err != nil {
-			return nil, fmt.Errorf("unit %s: decoding stored result: %w", id, err)
+		if err := json.Unmarshal(c.Result, &results[i]); err != nil {
+			return nil, fmt.Errorf("unit %s: decoding committed result: %w", u.id(), err)
 		}
 	}
 	return mergeUnits(results), nil
+}
+
+// sweepLocal runs grid on one process over a temporary data directory,
+// removed on return, and merges the rows. An interrupt cancels the
+// in-flight units at once: nothing outlives the directory to resume.
+func sweepLocal(grid []sweepUnit) (*benchReport, error) {
+	dir, err := os.MkdirTemp("", "alicebench-sweep-")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(dir)
+	w, err := newShardWorker(dir, "local", 0, 0, grid, nil)
+	if err != nil {
+		return nil, err
+	}
+	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stopSignals()
+	if err := w.run(ctx, 0); err != nil {
+		return nil, err
+	}
+	return w.merge()
 }
 
 // runSharded is the -shard entry point: a resumable, multi-process
@@ -396,7 +292,6 @@ func (w *shardWorker) merge() (*benchReport, error) {
 // worker stopped, and a complete sweep just re-merges, byte-
 // identically.
 func runSharded(dataDir, workerID string, workers int, ttl time.Duration, gridSelector, outPath string, noWarmup bool) {
-	check(os.MkdirAll(dataDir, 0o755))
 	if workerID == "" {
 		workerID = fmt.Sprintf("w%d", os.Getpid())
 	}
@@ -408,7 +303,6 @@ func runSharded(dataDir, workerID string, workers int, ttl time.Duration, gridSe
 		fmt.Printf(format+"\n", args...)
 	})
 	check(err)
-	defer w.close()
 	fmt.Printf("sharded sweep: %d units, worker %s (%d slots, lease TTL %s)\n",
 		len(grid), workerID, w.workers, w.lm.TTL())
 

@@ -291,6 +291,30 @@ func TestPersistenceAcrossRestart(t *testing.T) {
 	}
 }
 
+func TestStatsCounters(t *testing.T) {
+	q := newQueue(t, Options{Workers: 2, Handler: func(ctx context.Context, job *Job) ([]byte, error) {
+		if string(job.Payload) == "bad" {
+			return nil, errors.New("handler failure")
+		}
+		return []byte("ok"), nil
+	}})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	good, _ := q.Submit([]byte("good"), SubmitOptions{})
+	bad, _ := q.Submit([]byte("bad"), SubmitOptions{})
+	q.Wait(ctx, good.ID)
+	q.Wait(ctx, bad.ID)
+	st := q.Stats()
+	if st.Submitted != 2 || st.Succeeded != 1 || st.Failed != 1 {
+		t.Fatalf("stats = %+v", st)
+	}
+	// Stats are monotonic session counters: KeepDone eviction and
+	// queue-state churn never decrement them.
+	if st.Retries != 0 || st.Panics != 0 || st.Canceled != 0 {
+		t.Fatalf("unexpected nonzero counters: %+v", st)
+	}
+}
+
 func TestKeepDoneEviction(t *testing.T) {
 	dir := t.TempDir()
 	js := openJournal(t, dir)

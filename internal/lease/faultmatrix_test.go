@@ -1,6 +1,8 @@
 package lease
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -13,10 +15,18 @@ import (
 
 // ackedCommit records a Commit call that returned nil to the caller —
 // the protocol's acknowledgement that exactly this (worker, epoch)
-// owns the unit's result forever.
+// owns the unit's result forever, and that result is these bytes.
 type ackedCommit struct {
 	worker string
 	epoch  uint64
+	result json.RawMessage
+}
+
+// resultOf is the distinct payload each commit attempt carries, so a
+// marker that kept the wrong attempt's bytes cannot pass for the
+// acknowledged one.
+func resultOf(l *Lease) json.RawMessage {
+	return json.RawMessage(fmt.Sprintf(`{"unit":%q,"worker":%q,"epoch":%d}`, l.Unit, l.Worker, l.Epoch))
 }
 
 // TestLeaseFaultMatrix extends the store fault matrix to every lease
@@ -26,7 +36,8 @@ type ackedCommit struct {
 // the disk heals, a fresh manager on the real OS finishes the sweep,
 // and the two invariants the protocol sells are asserted in every
 // cell: no unit ever carries two committed results, and no
-// acknowledged commit is ever lost or reassigned.
+// acknowledged commit is ever lost, reassigned, or left holding other
+// bytes than the ones it acknowledged.
 func TestLeaseFaultMatrix(t *testing.T) {
 	const maxNth = 6
 	const ttl = time.Minute
@@ -84,12 +95,12 @@ func TestLeaseFaultMatrix(t *testing.T) {
 				opts := Options{TTL: ttl, FS: ffs, Now: clk.Now}
 
 				acks := make(map[string]ackedCommit)
-				ack := func(unit, worker string, epoch uint64) {
-					if prev, dup := acks[unit]; dup {
+				ack := func(l *Lease) {
+					if prev, dup := acks[l.Unit]; dup {
 						t.Fatalf("double commit on %s: %+v then %s@%d",
-							unit, prev, worker, epoch)
+							l.Unit, prev, l.Worker, l.Epoch)
 					}
-					acks[unit] = ackedCommit{worker, epoch}
+					acks[l.Unit] = ackedCommit{l.Worker, l.Epoch, resultOf(l)}
 				}
 
 				// Phase 1: worker a runs the full op surface under fault.
@@ -98,8 +109,8 @@ func TestLeaseFaultMatrix(t *testing.T) {
 				if errA == nil {
 					if l1, err := a.Acquire("u1"); err == nil {
 						_ = a.Renew(l1) // transient renew failure is survivable
-						if err := a.Commit(l1); err == nil {
-							ack("u1", "a", l1.Epoch)
+						if err := a.Commit(l1, resultOf(l1)); err == nil {
+							ack(l1)
 						}
 					}
 					if l2, err := a.Acquire("u2"); err == nil {
@@ -116,16 +127,16 @@ func TestLeaseFaultMatrix(t *testing.T) {
 				b, errB := Open(dir, "b", opts)
 				if errB == nil && la3 != nil {
 					if lb3, err := b.Acquire("u3"); err == nil {
-						if err := a.Commit(la3); err == nil {
+						if err := a.Commit(la3, resultOf(la3)); err == nil {
 							t.Fatalf("zombie commit acknowledged after reclaim (%s)", mode.name)
 						}
-						if err := b.Commit(lb3); err == nil {
-							ack("u3", "b", lb3.Epoch)
+						if err := b.Commit(lb3, resultOf(lb3)); err == nil {
+							ack(lb3)
 						}
-					} else if err := a.Commit(la3); err == nil {
+					} else if err := a.Commit(la3, resultOf(la3)); err == nil {
 						// b's claim never landed; a is still current and
 						// its late commit is a legitimate single ack.
-						ack("u3", "a", la3.Epoch)
+						ack(la3)
 					}
 				}
 
@@ -152,6 +163,9 @@ func TestLeaseFaultMatrix(t *testing.T) {
 							t.Fatalf("acked unit %s reassigned: %s@%d, want %s@%d",
 								u, cm.Worker, cm.Epoch, want.worker, want.epoch)
 						}
+						if !bytes.Equal(cm.Result, want.result) {
+							t.Fatalf("acked unit %s holds result %s, want %s", u, cm.Result, want.result)
+						}
 						continue
 					}
 					if !ok {
@@ -161,8 +175,13 @@ func TestLeaseFaultMatrix(t *testing.T) {
 						if err != nil {
 							t.Fatalf("acquire(%s) after heal: %v", u, err)
 						}
-						if err := c.Commit(lc); err != nil {
+						if err := c.Commit(lc, resultOf(lc)); err != nil {
 							t.Fatalf("commit(%s) after heal: %v", u, err)
+						}
+						ack(lc)
+						if cm, _, err := c.Committed(u); err != nil || !bytes.Equal(cm.Result, acks[u].result) {
+							t.Fatalf("unit %s committed after heal holds %s (err %v), want %s",
+								u, cm.Result, err, acks[u].result)
 						}
 					}
 				}
@@ -182,12 +201,13 @@ func TestLeaseFaultMatrix(t *testing.T) {
 					t.Fatalf("%d done markers for %d units after %s/op%d",
 						markers, len(units), mode.name, n)
 				}
-				s, err := Survey(dir, Options{Now: clk.Now})
+				// Every marker decodes, with its result, into one commit.
+				cs, err := c.Commits()
 				if err != nil {
-					t.Fatalf("survey after heal: %v", err)
+					t.Fatalf("commits after heal: %v", err)
 				}
-				if s.Commits != len(units) {
-					t.Fatalf("survey commits = %d, want %d", s.Commits, len(units))
+				if len(cs) != len(units) {
+					t.Fatalf("%d decoded commits, want %d", len(cs), len(units))
 				}
 			})
 		}

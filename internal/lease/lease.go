@@ -3,20 +3,20 @@
 // one work grid: each worker claims units by atomically creating lease
 // files, renews them on a heartbeat, reclaims expired leases from dead
 // workers, and commits exactly one result per unit — ever — via an
-// atomic, exclusive done marker.
+// atomic, exclusive done marker that carries the result itself.
 //
 // # Protocol
 //
 // The directory holds two subdirectories:
 //
 //	leases/<unit>@<epoch>.lease   the claim for one (unit, epoch)
-//	done/<unit>.done              the commit marker (immutable)
+//	done/<unit>.done              the commit marker and result (immutable)
 //
 // Unit names are percent-escaped so any unit id maps to one file name.
 // The fencing epoch lives in the lease file NAME, not its contents:
-// claiming epoch E+1 is an O_CREATE|O_EXCL create of a file that did
+// claiming epoch E+1 hard-links a fully written file to a name that did
 // not exist, so of N racing claimants exactly one wins — no locks, no
-// compare-and-swap, just POSIX create semantics on a shared directory.
+// compare-and-swap, just POSIX link semantics on a shared directory.
 // The current owner of a unit is whoever's name is in the
 // HIGHEST-epoch lease file. Epochs only grow: Release and Commit
 // rewrite or keep the highest lease file, they never delete it, so a
@@ -35,7 +35,9 @@
 // replaces an existing target, so of N racing committers exactly one
 // creates done/<unit>.done. Combined with fencing this extends the
 // store's acked-write invariant ("every acknowledged result survives")
-// to "exactly one committed result per unit, ever".
+// to "exactly one committed result per unit, ever": the marker holds
+// the committed result, so the bytes that were linked first are the
+// unit's result for good.
 //
 // All file I/O goes through an injectable iofault.FS so the fault
 // matrix covers acquire, renew, release, reclaim, and commit.
@@ -120,12 +122,15 @@ type Lease struct {
 	Expires time.Time
 }
 
-// Commit records who committed a unit, read back from its done marker.
+// Commit records who committed a unit and what, read back from its
+// done marker.
 type Commit struct {
 	Unit   string `json:"unit"`
 	Worker string `json:"worker"`
 	Epoch  uint64 `json:"epoch"`
 	AtUnix int64  `json:"at_unix"`
+	// Result is the JSON value passed to Manager.Commit, compacted.
+	Result json.RawMessage `json:"result"`
 }
 
 // leaseRecord is the wire form of a lease file's contents.
@@ -185,7 +190,6 @@ func (e *CommittedError) Error() string {
 // is safe for concurrent use by the worker's goroutines; cross-process
 // safety comes from the file protocol, not from this lock.
 type Manager struct {
-	dir      string
 	leaseDir string
 	doneDir  string
 	worker   string
@@ -211,7 +215,6 @@ func Open(dir, worker string, opts Options) (*Manager, error) {
 		}
 	}
 	m := &Manager{
-		dir:      dir,
 		leaseDir: filepath.Join(dir, leaseDirName),
 		doneDir:  filepath.Join(dir, doneDirName),
 		worker:   worker,
@@ -362,13 +365,15 @@ func (m *Manager) Release(l *Lease) error {
 	return nil
 }
 
-// Commit publishes the unit's done marker under l. The fencing
-// contract: if any lease file with a higher epoch exists, the caller
-// is a zombie and gets *StaleEpochError — its result must not become
-// the unit's committed one. If the unit is already committed by a
-// different (worker, epoch), *CommittedError. Re-committing the same
-// (worker, epoch) is idempotent (the crashed-after-link case).
-func (m *Manager) Commit(l *Lease) error {
+// Commit publishes the unit's done marker under l, carrying result,
+// which must be valid JSON. The fencing contract: if any lease file
+// with a higher epoch exists, the caller is a zombie and gets
+// *StaleEpochError — its result must not become the unit's committed
+// one. If the unit is already committed by a different (worker,
+// epoch), *CommittedError. Re-committing the same (worker, epoch) is
+// idempotent (the crashed-after-link case) and keeps the result that
+// was linked first.
+func (m *Manager) Commit(l *Lease, result json.RawMessage) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if err := m.checkCurrent(l); err != nil {
@@ -386,7 +391,7 @@ func (m *Manager) Commit(l *Lease) error {
 		}
 		return &CommittedError{Unit: l.Unit, By: c}
 	}
-	c := Commit{Unit: l.Unit, Worker: l.Worker, Epoch: l.Epoch, AtUnix: m.now().Unix()}
+	c := Commit{Unit: l.Unit, Worker: l.Worker, Epoch: l.Epoch, AtUnix: m.now().Unix(), Result: result}
 	data, err := json.Marshal(c)
 	if err != nil {
 		return fmt.Errorf("lease: %w", err)
@@ -443,7 +448,7 @@ func (m *Manager) Commits() (map[string]Commit, error) {
 		if err != nil {
 			continue
 		}
-		c, ok, err := m.readCommitLocked(unit)
+		c, ok, err := m.readCommit(unit)
 		if err != nil {
 			return nil, err
 		}
@@ -455,8 +460,7 @@ func (m *Manager) Commits() (map[string]Commit, error) {
 }
 
 // Holder reports the unit's current live lease, if one exists: the
-// highest-epoch lease that is neither released nor expired. Used to
-// avoid hammering Acquire on units another worker is computing.
+// highest-epoch lease that is neither released nor expired.
 func (m *Manager) Holder(unit string) (Lease, bool, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -476,14 +480,17 @@ func (m *Manager) Holder(unit string) (Lease, bool, error) {
 // the renewal, or renewals kept failing past the expiry. Unit
 // computation should run under the returned context so a fenced worker
 // stops burning CPU on a result that can never commit. The returned
-// stop function must be called to end the heartbeat.
+// stop function must be called to end the heartbeat; it returns once
+// the heartbeat has stopped, so no renewal can undo a later Release.
 func (m *Manager) Guard(ctx context.Context, l *Lease) (context.Context, context.CancelFunc) {
 	gctx, cancel := context.WithCancelCause(ctx)
 	interval := m.ttl / 3
 	if interval <= 0 {
 		interval = time.Millisecond
 	}
+	stopped := make(chan struct{})
 	go func() {
+		defer close(stopped)
 		ticker := time.NewTicker(interval)
 		defer ticker.Stop()
 		for {
@@ -510,7 +517,10 @@ func (m *Manager) Guard(ctx context.Context, l *Lease) (context.Context, context
 			}
 		}
 	}()
-	return gctx, func() { cancel(nil) }
+	return gctx, func() {
+		cancel(nil)
+		<-stopped
+	}
 }
 
 // --- internals -------------------------------------------------------
@@ -537,8 +547,8 @@ func (m *Manager) checkCurrent(l *Lease) error {
 
 // scan finds the unit's highest lease epoch and decodes that file.
 // rec is nil when no lease file exists or the highest one is
-// unreadable/unparsable (torn mid-create: reclaimable, but the epoch
-// still counts — monotonicity comes from file names, not contents).
+// unreadable/unparsable (damaged: reclaimable, but the epoch still
+// counts — monotonicity comes from file names, not contents).
 func (m *Manager) scan(unit string) (uint64, *leaseRecord, error) {
 	ents, err := m.fs.ReadDir(m.leaseDir)
 	if err != nil {
@@ -596,11 +606,12 @@ func (m *Manager) readLeaseFile(path string) (*leaseRecord, error) {
 	return &rec, nil
 }
 
-// createLease claims (unit, epoch) with O_CREATE|O_EXCL — the atomic
-// claim primitive. On fs.ErrExist the race was lost. A write/sync
-// failure after the exclusive create leaves a torn file at this epoch:
-// unowned (scan decodes it to nil) but epoch-consuming, so the next
-// claimant reclaims at epoch+1.
+// createLease claims (unit, epoch) — the atomic claim primitive. The
+// record is fsynced to a private temp file and published with Link,
+// which fails with fs.ErrExist when the epoch is already taken: the
+// race was lost. Publishing a complete file matters: an exclusive
+// create would expose an empty file that a concurrent scan decodes as
+// torn and reclaims, so two claimants would both win.
 func (m *Manager) createLease(l *Lease) error {
 	rec := leaseRecord{Unit: l.Unit, Worker: l.Worker, Epoch: l.Epoch, ExpireNS: l.Expires.UnixNano()}
 	data, err := json.Marshal(rec)
@@ -608,22 +619,16 @@ func (m *Manager) createLease(l *Lease) error {
 		return fmt.Errorf("lease: %w", err)
 	}
 	path := m.leasePath(l.Unit, l.Epoch)
-	f, err := m.fs.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	tmp := path + "." + m.worker + tmpExt
+	if err := m.writeFileSync(tmp, data); err != nil {
+		return err
+	}
+	err = m.fs.Link(tmp, path)
+	_ = m.fs.Remove(tmp)
 	if err != nil {
 		if errors.Is(err, fs.ErrExist) {
 			return err
 		}
-		return fmt.Errorf("lease: %w", err)
-	}
-	if _, err := f.Write(data); err != nil {
-		_ = f.Close()
-		return fmt.Errorf("lease: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close()
-		return fmt.Errorf("lease: %w", err)
-	}
-	if err := f.Close(); err != nil {
 		return fmt.Errorf("lease: %w", err)
 	}
 	return nil
@@ -671,12 +676,8 @@ func (m *Manager) writeFileSync(path string, data []byte) error {
 	return nil
 }
 
-// readCommit reads the unit's done marker under m.mu.
+// readCommit reads and decodes the unit's done marker.
 func (m *Manager) readCommit(unit string) (Commit, bool, error) {
-	return m.readCommitLocked(unit)
-}
-
-func (m *Manager) readCommitLocked(unit string) (Commit, bool, error) {
 	f, err := m.fs.OpenFile(m.donePath(unit), os.O_RDONLY, 0)
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
@@ -707,106 +708,6 @@ func (m *Manager) leasePath(unit string, epoch uint64) string {
 
 func (m *Manager) donePath(unit string) string {
 	return filepath.Join(m.doneDir, escapeUnit(unit)+doneExt)
-}
-
-// --- survey ----------------------------------------------------------
-
-// SurveyStats is an operator-facing snapshot of one lease directory.
-type SurveyStats struct {
-	// Commits is the number of committed units.
-	Commits int `json:"commits"`
-	// Live is the number of units under a live (unexpired, unreleased)
-	// lease.
-	Live int `json:"live"`
-	// Expired is the number of units whose highest lease has expired
-	// without commit — reclaimable work.
-	Expired int `json:"expired"`
-	// Released is the number of units whose highest lease was
-	// voluntarily released without commit.
-	Released int `json:"released"`
-	// Reclaims is the total number of epoch bumps across all units
-	// (sum of highest-epoch minus one): evidence of dead-worker
-	// takeovers and fencing history.
-	Reclaims int `json:"reclaims"`
-}
-
-// Survey scans dir without claiming an identity: commit counts, live
-// vs expired leases, and total reclaim evidence. Read-only.
-func Survey(dir string, opts Options) (SurveyStats, error) {
-	ffs := opts.FS
-	if ffs == nil {
-		ffs = iofault.OS{}
-	}
-	now := opts.Now
-	if now == nil {
-		now = time.Now
-	}
-	m := &Manager{
-		dir:      dir,
-		leaseDir: filepath.Join(dir, leaseDirName),
-		doneDir:  filepath.Join(dir, doneDirName),
-		worker:   "survey",
-		fs:       ffs,
-		now:      now,
-	}
-	var s SurveyStats
-	if ents, err := ffs.ReadDir(m.doneDir); err == nil {
-		for _, e := range ents {
-			if strings.HasSuffix(e.Name(), doneExt) {
-				s.Commits++
-			}
-		}
-	}
-	ents, err := ffs.ReadDir(m.leaseDir)
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return s, nil
-		}
-		return s, fmt.Errorf("lease: %w", err)
-	}
-	units := make(map[string]uint64)
-	for _, e := range ents {
-		name := e.Name()
-		if !strings.HasSuffix(name, leaseExt) {
-			continue
-		}
-		at := strings.LastIndex(name, "@")
-		if at < 0 {
-			continue
-		}
-		epoch, err := strconv.ParseUint(strings.TrimSuffix(name[at+1:], leaseExt), 10, 64)
-		if err != nil {
-			continue
-		}
-		unit, err := unescapeUnit(name[:at])
-		if err != nil {
-			continue
-		}
-		if epoch > units[unit] {
-			units[unit] = epoch
-		}
-	}
-	nowT := now()
-	for unit, maxEpoch := range units {
-		s.Reclaims += int(maxEpoch - 1)
-		if _, ok, _ := m.readCommitLocked(unit); ok {
-			continue // committed units' leases are history, not state
-		}
-		rec, err := m.readLeaseFile(m.leasePath(unit, maxEpoch))
-		if err != nil || rec == nil {
-			s.Expired++ // torn/unreadable: reclaimable
-			continue
-		}
-		switch {
-		case rec.Released:
-			s.Released++
-		case nowT.Before(time.Unix(0, rec.ExpireNS)):
-			s.Live++
-		default:
-			s.Expired++
-		}
-	}
-	return s, nil
 }
 
 // --- unit-name escaping ----------------------------------------------

@@ -1,10 +1,13 @@
 package lease
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -58,7 +61,8 @@ func TestAcquireCommitLifecycle(t *testing.T) {
 	if err := m.Renew(l); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Commit(l); err != nil {
+	first := json.RawMessage(`{"rows":[1,2,3]}`)
+	if err := m.Commit(l, first); err != nil {
 		t.Fatal(err)
 	}
 	c, ok, err := m.Committed("unit-a")
@@ -68,10 +72,16 @@ func TestAcquireCommitLifecycle(t *testing.T) {
 	if c.Worker != "w1" || c.Epoch != 1 {
 		t.Fatalf("commit %+v, want w1@1", c)
 	}
+	if !bytes.Equal(c.Result, first) {
+		t.Fatalf("committed result %s, want %s", c.Result, first)
+	}
 	// Re-commit of the same (worker, epoch) — the crashed-after-link
-	// replay — is idempotent.
-	if err := m.Commit(l); err != nil {
+	// replay — is idempotent and keeps the first linked bytes.
+	if err := m.Commit(l, json.RawMessage(`{"rows":[9]}`)); err != nil {
 		t.Fatalf("idempotent re-commit: %v", err)
+	}
+	if c, _, err := m.Committed("unit-a"); err != nil || !bytes.Equal(c.Result, first) {
+		t.Fatalf("result after re-commit %s (err %v), want %s", c.Result, err, first)
 	}
 	st := m.Stats()
 	if st.Acquires != 1 || st.Renews != 1 || st.Commits != 1 {
@@ -140,7 +150,7 @@ func TestReclaimExpiredAndFenceZombie(t *testing.T) {
 	if err := a.Renew(la); !errors.As(err, &stale) {
 		t.Fatalf("zombie renew: %v, want *StaleEpochError", err)
 	}
-	if err := a.Commit(la); !errors.As(err, &stale) {
+	if err := a.Commit(la, json.RawMessage(`"zombie"`)); !errors.As(err, &stale) {
 		t.Fatalf("zombie commit: %v, want *StaleEpochError", err)
 	}
 	if stale.Epoch != 1 || stale.CurrentEpoch != 2 || stale.Holder != "b" {
@@ -151,17 +161,17 @@ func TestReclaimExpiredAndFenceZombie(t *testing.T) {
 	}
 
 	// The reclaimer commits; exactly one marker exists.
-	if err := b.Commit(lb); err != nil {
+	if err := b.Commit(lb, json.RawMessage(`"reclaimer"`)); err != nil {
 		t.Fatal(err)
 	}
 	c, ok, _ := a.Committed("u")
-	if !ok || c.Worker != "b" || c.Epoch != 2 {
-		t.Fatalf("commit %+v, want b@2", c)
+	if !ok || c.Worker != "b" || c.Epoch != 2 || string(c.Result) != `"reclaimer"` {
+		t.Fatalf("commit %+v, want b@2 with the reclaimer's result", c)
 	}
 	// Even after the commit, the zombie's retry stays fenced — the
 	// lease history is never deleted, so its epoch can never look
 	// current again.
-	if err := a.Commit(la); !errors.As(err, &stale) {
+	if err := a.Commit(la, json.RawMessage(`"zombie"`)); !errors.As(err, &stale) {
 		t.Fatalf("zombie commit after b's commit: %v, want *StaleEpochError", err)
 	}
 }
@@ -264,14 +274,14 @@ func TestTornLeaseFileIsReclaimable(t *testing.T) {
 	}
 }
 
-func TestCommitsAndSurvey(t *testing.T) {
+func TestCommits(t *testing.T) {
 	dir := t.TempDir()
 	clk := newFakeClock()
 	a := openWorker(t, dir, "a", clk, time.Minute)
 	b := openWorker(t, dir, "b", clk, time.Minute)
 
 	l1, _ := a.Acquire("u1")
-	if err := a.Commit(l1); err != nil {
+	if err := a.Commit(l1, json.RawMessage(`{"u":1}`)); err != nil {
 		t.Fatal(err)
 	}
 	l2, _ := a.Acquire("u2") // live
@@ -286,32 +296,22 @@ func TestCommitsAndSurvey(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Only u1 is committed: live, released and reclaimed leases are not.
 	cs, err := a.Commits()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cs) != 1 || cs["u1"].Worker != "a" {
+	if len(cs) != 1 || cs["u1"].Worker != "a" || string(cs["u1"].Result) != `{"u":1}` {
 		t.Fatalf("commits %+v", cs)
 	}
 
-	s, err := Survey(dir, Options{Now: clk.Now})
-	if err != nil {
+	// A damaged marker is an error that names its unit, never a panic
+	// or a silently missing unit.
+	if err := os.WriteFile(filepath.Join(dir, "done", "u5.done"), []byte("{garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if s.Commits != 1 {
-		t.Fatalf("survey commits = %d", s.Commits)
-	}
-	if s.Live != 1 { // u4@2 (u2 expired)
-		t.Fatalf("survey live = %d (%+v)", s.Live, s)
-	}
-	if s.Expired != 1 { // u2
-		t.Fatalf("survey expired = %d (%+v)", s.Expired, s)
-	}
-	if s.Released != 1 { // u3
-		t.Fatalf("survey released = %d (%+v)", s.Released, s)
-	}
-	if s.Reclaims != 1 { // u4 epoch 2
-		t.Fatalf("survey reclaims = %d (%+v)", s.Reclaims, s)
+	if _, err := a.Commits(); err == nil || !strings.Contains(err.Error(), `"u5"`) {
+		t.Fatalf("commits over a garbage marker: %v, want an error naming u5", err)
 	}
 }
 
@@ -361,7 +361,7 @@ func TestWorkerNameValidation(t *testing.T) {
 
 func TestAcquireRaceSingleWinner(t *testing.T) {
 	// N managers race to claim one unit at the same epoch: exactly one
-	// O_EXCL create wins, everyone else gets the typed held error.
+	// link wins, everyone else gets the typed held error.
 	dir := t.TempDir()
 	clk := newFakeClock()
 	const n = 8

@@ -51,7 +51,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -554,76 +553,6 @@ func (v *Snapshot) Keys(prefix string) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// ReadSnapshot replays the log at path into a Snapshot without taking
-// ownership of the file: read-only descriptor, no torn-tail
-// truncation, no magic stamping, no .compact cleanup. It is the
-// cross-process merge primitive — the sweep merge reads every worker's
-// log through it while the single-writer invariant stays with the
-// worker that owns the log. A torn tail (a frame the owner may still
-// be mid-append on) is simply ignored; mid-log damage is still
-// ErrCorrupt. A missing file yields an empty snapshot.
-func ReadSnapshot(path string, opts ...Options) (*Snapshot, error) {
-	var o Options
-	if len(opts) > 0 {
-		o = opts[0]
-	}
-	fsys := o.FS
-	if fsys == nil {
-		fsys = iofault.OS{}
-	}
-	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return &Snapshot{m: map[string][]byte{}}, nil
-		}
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	defer f.Close()
-	head := make([]byte, len(magic))
-	if _, err := io.ReadFull(f, head); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			// Empty or torn-at-creation log: no committed records.
-			return &Snapshot{m: map[string][]byte{}}, nil
-		}
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	if string(head) != magic {
-		return nil, fmt.Errorf("%w: %s is not a store log (bad magic)", ErrCorrupt, path)
-	}
-	data, err := io.ReadAll(f)
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	index := make(map[string][]byte)
-	off := 0
-	good := 0
-	for off < len(data) {
-		key, val, op, n, ok := parseFrame(data[off:])
-		if !ok {
-			break
-		}
-		switch op {
-		case opPut:
-			index[key] = val
-		case opDel:
-			delete(index, key)
-		}
-		off += n
-		good = off
-	}
-	if good < len(data) {
-		// Same tail/middle distinction as replay: a valid frame after
-		// the damage means the middle of the log is corrupt.
-		for probe := good + 1; probe < len(data); probe++ {
-			if _, _, _, _, ok := parseFrame(data[probe:]); ok {
-				return nil, fmt.Errorf("%w: bad frame at offset %d with valid data after it",
-					ErrCorrupt, int64(good)+int64(len(magic)))
-			}
-		}
-	}
-	return &Snapshot{m: index}, nil
 }
 
 // Stats returns a consistent snapshot of the store's counters.

@@ -352,104 +352,3 @@ func TestStats(t *testing.T) {
 		t.Errorf("LogBytes = %d", st.LogBytes)
 	}
 }
-
-func TestReadSnapshotOfLiveAndClosedLog(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "log")
-	s, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Put("a", []byte("1"))
-	s.Put("b", []byte("2"))
-	s.Delete("b")
-	s.Put("c", []byte("3"))
-
-	// Cross-process read while the writer is still live: every frame
-	// is fsynced before the Put is acknowledged, so the snapshot sees
-	// the full committed state.
-	snap, err := ReadSnapshot(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Len() != 2 {
-		t.Fatalf("live snapshot len = %d, want 2", snap.Len())
-	}
-	if v, ok := snap.Get("a"); !ok || string(v) != "1" {
-		t.Fatalf("snapshot a = %q %v", v, ok)
-	}
-	if _, ok := snap.Get("b"); ok {
-		t.Fatal("deleted record visible in snapshot")
-	}
-	s.Close()
-
-	// The read-only path must not have disturbed the writer's log.
-	s2, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if s2.Stats().Truncated != 0 {
-		t.Fatalf("ReadSnapshot dirtied the log: truncated %d bytes", s2.Stats().Truncated)
-	}
-}
-
-func TestReadSnapshotMissingFileIsEmpty(t *testing.T) {
-	snap, err := ReadSnapshot(filepath.Join(t.TempDir(), "absent"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Len() != 0 {
-		t.Fatalf("missing-file snapshot len = %d", snap.Len())
-	}
-}
-
-func TestReadSnapshotToleratesTornTail(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "log")
-	s, _ := Open(path)
-	s.Put("a", []byte("1"))
-	s.Close()
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Write([]byte{0x01, 0xAA}) // torn frame prefix: a crash mid-append
-	f.Close()
-
-	snap, err := ReadSnapshot(path)
-	if err != nil {
-		t.Fatalf("torn tail rejected: %v", err)
-	}
-	if v, ok := snap.Get("a"); !ok || string(v) != "1" {
-		t.Fatalf("snapshot a = %q %v", v, ok)
-	}
-}
-
-func TestReadSnapshotRefusesMidLogDamage(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "log")
-	s, _ := Open(path)
-	s.Put("a", []byte("aaaaaaaa"))
-	s.Put("b", []byte("bbbbbbbb"))
-	s.Close()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(magic)+2] ^= 0xFF // flip a byte inside the first frame
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadSnapshot(path); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("mid-log damage: %v, want ErrCorrupt", err)
-	}
-}
-
-func TestReadSnapshotRefusesBadMagic(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "log")
-	if err := os.WriteFile(path, []byte("NOT A STORE LOG, NOT AT ALL\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadSnapshot(path); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("bad magic: %v, want ErrCorrupt", err)
-	}
-}
