@@ -34,8 +34,8 @@
 // The report carries the Table-2 style metrics (candidate modules,
 // clusters, valid fabrics, admissible solutions), the chosen solution
 // with per-fabric utilizations and bitstream sizes, and the regenerated
-// redacted design. Run, RunSource, and GenerateRedactedDesign remain as
-// one-shot shims over the Engine.
+// redacted design. GenerateRedactedDesign remains as a one-shot shim
+// over the Engine.
 package alice
 
 import (
@@ -198,18 +198,6 @@ func Cfg2() *Config { return core.Cfg2() }
 
 // LoadConfig parses a YAML flow configuration.
 func LoadConfig(src string) (*Config, error) { return core.LoadConfig(src) }
-
-// RunSource parses Verilog text and runs the complete redaction flow —
-// a one-shot shim over the Engine.
-func RunSource(src string, cfg *Config) (*Report, error) {
-	return NewEngine(WithConfig(cfg)).RunSource(context.Background(), src)
-}
-
-// Run executes the flow on a parsed design — a one-shot shim over the
-// Engine.
-func Run(ast *verilog.Design, cfg *Config) (*Report, error) {
-	return NewEngine(WithConfig(cfg)).Run(context.Background(), ast)
-}
 
 // Parse parses Verilog source text.
 func Parse(src string) (*verilog.Design, error) { return verilog.Parse(src) }

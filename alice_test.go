@@ -1,6 +1,7 @@
 package alice_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -32,7 +33,7 @@ efpga:
 	}
 	cfg.SelectedOutputs = b.SelectedOutputs
 
-	rep, err := alice.RunSource(b.Source(), cfg)
+	rep, err := alice.NewEngine(alice.WithConfig(cfg)).RunSource(context.Background(), b.Source())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -142,7 +142,7 @@ endmodule`},
 				b.Fatal(err)
 			}
 			start := time.Now()
-			ar, err := attack.RecoverBitstream(ln, 5000, 1)
+			ar, err := attack.RecoverBitstreamOpts(ln, attack.Options{MaxIters: 5000, Seed: 1})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -2,14 +2,12 @@ package main
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"sync"
 	"time"
 
 	"alice"
-	"alice/internal/attack"
 )
 
 // archSweepFamilies is the fabric-family grid of the architecture
@@ -67,22 +65,12 @@ func runArchSweep(w io.Writer, designName string) {
 				}
 				// Attack the functional configuration of each winning fabric:
 				// the LUT masks are the key the foundry attacker must recover.
-				ar, err := attack.RecoverBitstreamOpts(fc.Fabric.LUTs, attack.Options{
-					MaxIters: attackBudget, Seed: 1, MaxConflicts: fabricConflictBudget,
-				})
-				var be *attack.BudgetError
-				switch {
-				case err == nil:
-					dips += ar.Iterations
-					conflicts += ar.Conflicts
-				case errors.As(err, &be):
-					// Surviving the budget is the strongest row of the sweep.
-					survived = true
-					dips += be.Iterations
-					conflicts += be.Conflicts
-				default:
-					check(err)
-				}
+				row, err := attackFabric(b.Name, fc.Fabric.Arch.Name(), fc.Fabric.LUTs, false)
+				check(err)
+				// Surviving the budget is the strongest row of the sweep.
+				survived = survived || row.BudgetExhausted
+				dips += row.DIPs
+				conflicts += row.Conflicts
 			}
 			fmax := "-"
 			if worstNs > 0 {

@@ -1,11 +1,8 @@
 package main
 
 import (
-	"errors"
 	"fmt"
 	"io"
-	"runtime"
-	"sync"
 	"time"
 
 	"alice/internal/attack"
@@ -62,108 +59,44 @@ const (
 	fabricConflictBudget = 250_000
 )
 
-// attackOutcome is one finished corpus attack: either a result or a
-// budget exhaustion (a legitimate "survived the budget" data point,
-// reported as its own row), or a hard error.
-type attackOutcome struct {
-	name    string
-	keyBits int
-	res     *attack.Result
-	budget  *attack.BudgetError
-	err     error
-	wall    time.Duration
-}
-
-// runAttackCorpus synthesizes and attacks every corpus target across a
-// worker pool (the per-target attacks are independent, like the flow's
-// parallel characterization). Results come back in corpus order.
-func runAttackCorpus() []attackOutcome {
-	out := make([]attackOutcome, len(attackTargets))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(attackTargets) {
-		workers = len(attackTargets)
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				tgt := attackTargets[i]
-				out[i] = attackOne(tgt.name, tgt.src, false)
-			}
-		}()
-	}
-	for i := range attackTargets {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	return out
-}
-
-// attackOne synthesizes and attacks one corpus target; it is the
-// shared kernel of the -attack table, the -json attack rows, and the
-// sharded attack units.
-func attackOne(name, src string, noWarmup bool) attackOutcome {
-	o := attackOutcome{name: name}
-	ln, err := mapTarget(src)
-	if err != nil {
-		o.err = err
-		return o
-	}
-	start := time.Now()
-	ar, err := attack.RecoverBitstreamOpts(ln, attack.Options{
-		MaxIters: attackBudget, Seed: 1, MaxConflicts: attack.DefaultMaxConflicts, NoWarmup: noWarmup,
-	})
-	o.wall = time.Since(start)
-	switch {
-	case err == nil:
-		o.res = ar
-		o.keyBits = ar.KeyBits
-		if bad := attack.VerifyKey(ln, ar.Masks, 300, 2); bad != 0 {
-			o.err = fmt.Errorf("attack on %s recovered a wrong key (%d bad patterns)", name, bad)
+// targetNetwork synthesizes and maps the named corpus target.
+func targetNetwork(name string) (*techmap.LUTNetwork, error) {
+	for _, tgt := range attackTargets {
+		if tgt.name != name {
+			continue
 		}
-	case errors.As(err, &o.budget):
-		o.keyBits = o.budget.KeyBits
-	default:
-		o.err = err
+		ast, err := verilog.Parse(tgt.src)
+		if err != nil {
+			return nil, err
+		}
+		d, err := rtl.Elaborate(ast, "")
+		if err != nil {
+			return nil, err
+		}
+		res, err := synth.Synthesize(d)
+		if err != nil {
+			return nil, err
+		}
+		return techmap.Map(opt.Optimize(res.Netlist))
 	}
-	return o
+	return nil, fmt.Errorf("unknown attack target %q", name)
 }
 
-func mapTarget(src string) (*techmap.LUTNetwork, error) {
-	ast, err := verilog.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	d, err := rtl.Elaborate(ast, "")
-	if err != nil {
-		return nil, err
-	}
-	res, err := synth.Synthesize(d)
-	if err != nil {
-		return nil, err
-	}
-	return techmap.Map(opt.Optimize(res.Netlist))
-}
-
+// runAttackScaling renders the attack rows of the sweep grid, run on
+// this process.
 func runAttackScaling(w io.Writer) {
 	fmt.Fprintf(w, "%-8s %10s %8s %12s %12s\n", "target", "key bits", "DIPs", "conflicts", "time")
-	for _, o := range runAttackCorpus() {
-		switch {
-		case o.err != nil:
-			check(o.err)
-		case o.budget != nil:
+	rep, err := sweepLocal(filterGrid(sweepGrid(false), "attack:"))
+	check(err)
+	for _, a := range rep.Attacks {
+		wall := time.Duration(a.WallSeconds * float64(time.Second)).Round(time.Millisecond)
+		if a.BudgetExhausted {
 			// Budget exhaustion is the security result the sweep is after:
 			// the design survived the attack budget.
 			fmt.Fprintf(w, "%-8s %10d %8s %12d %12s  (survived the attack budget)\n",
-				o.name, o.keyBits, ">"+fmt.Sprint(o.budget.Iterations), o.budget.Conflicts,
-				o.wall.Round(time.Millisecond))
-		default:
-			fmt.Fprintf(w, "%-8s %10d %8d %12d %12s\n",
-				o.name, o.keyBits, o.res.Iterations, o.res.Conflicts, o.wall.Round(time.Millisecond))
+				a.Target, a.KeyBits, ">"+fmt.Sprint(a.DIPs), a.Conflicts, wall)
+			continue
 		}
+		fmt.Fprintf(w, "%-8s %10d %8d %12d %12s\n", a.Target, a.KeyBits, a.DIPs, a.Conflicts, wall)
 	}
 }

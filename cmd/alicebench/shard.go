@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"runtime"
@@ -262,32 +261,26 @@ func runImplUnit(ctx context.Context, design string) (unitResult, error) {
 
 // runAttackUnit attacks one synthetic corpus target.
 func runAttackUnit(target string, noWarmup bool) (unitResult, error) {
-	for _, tgt := range attackTargets {
-		if tgt.name != target {
-			continue
-		}
-		o := attackOne(tgt.name, tgt.src, noWarmup)
-		if o.err != nil {
-			return unitResult{}, o.err
-		}
-		ab := attackBench{
-			Target:      o.name,
-			KeyBits:     o.keyBits,
-			WallSeconds: o.wall.Seconds(),
-		}
-		if o.budget != nil {
-			ab.BudgetExhausted = true
-			ab.DIPs = o.budget.Iterations
-			ab.Conflicts = o.budget.Conflicts
-			ab.Propagations = o.budget.Propagations
-		} else {
-			ab.DIPs = o.res.Iterations
-			ab.Conflicts = o.res.Conflicts
-			ab.Propagations = o.res.Propagations
-		}
-		return unitResult{Attacks: []attackBench{ab}}, nil
+	ln, err := targetNetwork(target)
+	if err != nil {
+		return unitResult{}, err
 	}
-	return unitResult{}, fmt.Errorf("unknown attack target %q", target)
+	start := time.Now()
+	v, err := attack.Evaluate(ln, attack.Options{
+		MaxIters: attackBudget, Seed: 1, MaxConflicts: attack.DefaultMaxConflicts, NoWarmup: noWarmup,
+	})
+	if err != nil {
+		return unitResult{}, fmt.Errorf("attack on %s: %w", target, err)
+	}
+	return unitResult{Attacks: []attackBench{{
+		Target:          target,
+		KeyBits:         v.KeyBits,
+		DIPs:            v.DIPs,
+		Conflicts:       v.Conflicts,
+		Propagations:    v.Propagations,
+		BudgetExhausted: !v.Cracked,
+		WallSeconds:     time.Since(start).Seconds(),
+	}}}, nil
 }
 
 // runFabricAttackUnit attacks the functional configurations of one
@@ -325,63 +318,41 @@ func runFabricAttackUnit(ctx context.Context, design string, noWarmup bool) (uni
 // DIP saving the leak buys an attacker. Both attacks run without
 // warm-up so the counts isolate the seeding effect.
 func runStructuralTargetUnit(target string) (unitResult, error) {
-	for _, tgt := range attackTargets {
-		if tgt.name != target {
-			continue
-		}
-		ln, err := mapTarget(tgt.src)
-		if err != nil {
-			return unitResult{}, err
-		}
-		start := time.Now()
-		rep, err := structural.Analyze(ln, structural.Options{Seed: 1})
-		if err != nil {
-			return unitResult{}, err
-		}
-		row := structuralBench{
-			Design:            target,
-			KeyBits:           rep.KeyBits,
-			EffectiveKeyBits:  rep.EffectiveKeyBits,
-			LeakedBits:        rep.LeakedBits,
-			DeadBits:          rep.DeadBits,
-			RemovalCandidates: len(rep.Removals),
-			Attacked:          true,
-		}
-		cold := attack.Options{
-			MaxIters: attackBudget, MaxConflicts: attack.DefaultMaxConflicts, Seed: 1, NoWarmup: true,
-		}
-		if row.DIPs, row.BudgetExhausted, err = structDIPs(ln, cold); err != nil {
-			return unitResult{}, fmt.Errorf("structural %s cold attack: %w", target, err)
-		}
-		seeded := cold
-		seeded.FixedKey = rep.FixedKey()
-		var exhausted bool
-		if row.SeededDIPs, exhausted, err = structDIPs(ln, seeded); err != nil {
-			return unitResult{}, fmt.Errorf("structural %s seeded attack: %w", target, err)
-		}
-		row.BudgetExhausted = row.BudgetExhausted || exhausted
-		row.WallSeconds = time.Since(start).Seconds()
-		return unitResult{Structural: []structuralBench{row}}, nil
+	ln, err := targetNetwork(target)
+	if err != nil {
+		return unitResult{}, err
 	}
-	return unitResult{}, fmt.Errorf("unknown structural target %q", target)
-}
-
-// structDIPs runs one attack for a structural row, returning the
-// distinguishing-input count and whether the budget ran out (a data
-// point, not an error).
-func structDIPs(ln *techmap.LUTNetwork, opts attack.Options) (int, bool, error) {
-	ar, err := attack.RecoverBitstreamOpts(ln, opts)
-	if err == nil {
-		if bad := attack.VerifyKey(ln, ar.Masks, 300, 2); bad != 0 {
-			return 0, false, fmt.Errorf("recovered a wrong key (%d bad patterns)", bad)
-		}
-		return ar.Iterations, false, nil
+	start := time.Now()
+	rep, err := structural.Analyze(ln, structural.Options{Seed: 1})
+	if err != nil {
+		return unitResult{}, err
 	}
-	var be *attack.BudgetError
-	if errors.As(err, &be) {
-		return be.Iterations, true, nil
+	cold := attack.Options{
+		MaxIters: attackBudget, MaxConflicts: attack.DefaultMaxConflicts, Seed: 1, NoWarmup: true,
 	}
-	return 0, false, err
+	cv, err := attack.Evaluate(ln, cold)
+	if err != nil {
+		return unitResult{}, fmt.Errorf("structural %s cold attack: %w", target, err)
+	}
+	seeded := cold
+	seeded.FixedKey = rep.FixedKey()
+	sv, err := attack.Evaluate(ln, seeded)
+	if err != nil {
+		return unitResult{}, fmt.Errorf("structural %s seeded attack: %w", target, err)
+	}
+	return unitResult{Structural: []structuralBench{{
+		Design:            target,
+		KeyBits:           rep.KeyBits,
+		EffectiveKeyBits:  rep.EffectiveKeyBits,
+		LeakedBits:        rep.LeakedBits,
+		DeadBits:          rep.DeadBits,
+		RemovalCandidates: len(rep.Removals),
+		Attacked:          true,
+		DIPs:              cv.DIPs,
+		SeededDIPs:        sv.DIPs,
+		BudgetExhausted:   !cv.Cracked || !sv.Cracked,
+		WallSeconds:       time.Since(start).Seconds(),
+	}}}, nil
 }
 
 // runStructuralFlowUnit classifies each winning fabric of one design's
@@ -543,23 +514,19 @@ func writeReport(rep *benchReport, outPath string) error {
 // the oracle-guided attack.
 func attackFabric(design, fabric string, luts *techmap.LUTNetwork, noWarmup bool) (fabricAttackBench, error) {
 	start := time.Now()
-	ar, err := attack.RecoverBitstreamOpts(luts, attack.Options{
+	v, err := attack.Evaluate(luts, attack.Options{
 		MaxIters: attackBudget, Seed: 1, MaxConflicts: fabricConflictBudget, NoWarmup: noWarmup,
 	})
-	row := fabricAttackBench{Design: design, Fabric: fabric}
-	var be *attack.BudgetError
-	switch {
-	case err == nil:
-		if bad := attack.VerifyKey(luts, ar.Masks, 300, 2); bad != 0 {
-			return row, fmt.Errorf("fabric attack on %s/%s recovered a wrong key", design, fabric)
-		}
-		row.KeyBits, row.DIPs, row.Conflicts = ar.KeyBits, ar.Iterations, ar.Conflicts
-	case errors.As(err, &be):
-		row.BudgetExhausted = true
-		row.KeyBits, row.DIPs, row.Conflicts = be.KeyBits, be.Iterations, be.Conflicts
-	default:
-		return row, err
+	if err != nil {
+		return fabricAttackBench{}, fmt.Errorf("fabric attack on %s/%s: %w", design, fabric, err)
 	}
-	row.WallSeconds = time.Since(start).Seconds()
-	return row, nil
+	return fabricAttackBench{
+		Design:          design,
+		Fabric:          fabric,
+		KeyBits:         v.KeyBits,
+		DIPs:            v.DIPs,
+		Conflicts:       v.Conflicts,
+		BudgetExhausted: !v.Cracked,
+		WallSeconds:     time.Since(start).Seconds(),
+	}, nil
 }

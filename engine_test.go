@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"alice"
-	"alice/internal/core"
 )
 
 // normalizedRow renders a report's Table-2 row with the (nondeterministic)
@@ -46,10 +45,10 @@ func equivCfgs(benchName string) []*alice.Config {
 }
 
 // TestEngineMatchesLegacyRun checks the headline compatibility claim:
-// the staged Engine pipeline produces the same Table-2 row (modulo
-// timing), the same fabrics, and the same redacted instances as the
-// legacy one-shot core.Run path, for every paper benchmark under both
-// configurations.
+// the staged Engine pipeline at parallelism 4 produces the same Table-2
+// row (modulo timing), the same fabrics, and the same redacted
+// instances as the sequential one-shot run, for every paper benchmark
+// under both configurations.
 func TestEngineMatchesLegacyRun(t *testing.T) {
 	ctx := context.Background()
 	for _, bm := range alice.Benchmarks() {
@@ -62,7 +61,7 @@ func TestEngineMatchesLegacyRun(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", bm.Name, err)
 			}
-			legacy, err := core.Run(ast, cfgLegacy)
+			legacy, err := alice.NewEngine(alice.WithConfig(cfgLegacy), alice.WithParallelism(1)).Run(ctx, ast)
 			if err != nil {
 				t.Fatalf("%s cfg%d legacy: %v", bm.Name, ci+1, err)
 			}

@@ -59,15 +59,15 @@ func main() {
 			log.Fatal(err)
 		}
 		start := time.Now()
-		ar, err := attack.RecoverBitstreamOpts(ln, attack.Options{MaxIters: 20000, Seed: 1})
+		v, err := attack.Evaluate(ln, attack.Options{MaxIters: 20000, Seed: 1})
 		if err != nil {
-			log.Fatal(err)
+			log.Fatalf("%s: %v", tgt.name, err)
 		}
-		if bad := attack.VerifyKey(ln, ar.Masks, 300, 2); bad != 0 {
-			log.Fatalf("%s: wrong key", tgt.name)
+		if !v.Cracked {
+			log.Fatalf("%s: not cracked within %d distinguishing inputs", tgt.name, v.DIPs)
 		}
 		fmt.Printf("%-16s %10d %8d %12d %10s\n",
-			tgt.name, ar.KeyBits, ar.Iterations, ar.Conflicts,
+			tgt.name, v.KeyBits, v.DIPs, v.Conflicts,
 			time.Since(start).Round(time.Millisecond))
 	}
 	fmt.Println()

@@ -17,7 +17,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"log"
 	"runtime"
@@ -116,21 +115,15 @@ func main() {
 		start := time.Now()
 		for _, fc := range rep.Solution.Fabrics {
 			keyBits += fc.Fabric.ConfigBits()
-			ar, err := attack.RecoverBitstreamOpts(fc.Fabric.LUTs, attack.Options{
+			// A fabric that survives the budget is the strongest row.
+			v, err := attack.Evaluate(fc.Fabric.LUTs, attack.Options{
 				MaxIters: 20000, Seed: 1, MaxConflicts: 250_000,
 			})
-			var be *attack.BudgetError
-			switch {
-			case err == nil:
-				dips += ar.Iterations
-				conflicts += ar.Conflicts
-			case errors.As(err, &be):
-				// A fabric that survives the budget is the strongest row.
-				dips += be.Iterations
-				conflicts += be.Conflicts
-			default:
+			if err != nil {
 				log.Fatal(err)
 			}
+			dips += v.DIPs
+			conflicts += v.Conflicts
 		}
 		fmt.Printf("  %-6s %-22s %9d %6d %11d %9s\n",
 			fam.Name(), rep.FabricSizes, keyBits, dips, conflicts,

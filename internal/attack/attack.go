@@ -254,14 +254,6 @@ func (v *combView) evalInto(out, val, inputs []bool, masks map[int32]uint64) {
 	}
 }
 
-// eval computes the combinational outputs for given inputs and masks.
-func (v *combView) eval(inputs []bool, masks map[int32]uint64) []bool {
-	out := make([]bool, len(v.outs))
-	val := make([]bool, len(v.ln.Nodes))
-	v.evalInto(out, val, inputs, masks)
-	return out
-}
-
 // evalWordsInto is evalInto bit-parallel over 64 lanes: inputs[i]
 // carries scan input i across the lanes, and out[i] holds observed
 // output i the same way. One call evaluates 64 oracle queries, which
@@ -303,19 +295,14 @@ func tseitinXor(s *sat.Solver, a, b sat.Lit) sat.Lit {
 	return g
 }
 
-// RecoverBitstream runs the oracle-guided SAT attack against the LUT
-// network's configuration. The network itself acts as the oracle (a
-// working programmed chip). maxIters bounds the number of
-// distinguishing inputs; on exhaustion the returned error wraps
-// ErrAttackBudget (a *BudgetError with the work done so far). The seed
-// diversifies distinguishing-input tie-breaking (it seeds the solver's
-// decision phases), so different seeds explore different DIP
-// sequences; a fixed seed is fully deterministic.
-func RecoverBitstream(ln *techmap.LUTNetwork, maxIters int, seed int64) (*Result, error) {
-	return RecoverBitstreamOpts(ln, Options{MaxIters: maxIters, Seed: seed})
-}
-
-// RecoverBitstreamOpts runs the attack with explicit Options.
+// RecoverBitstreamOpts runs the oracle-guided SAT attack against the
+// LUT network's configuration. The network itself acts as the oracle
+// (a working programmed chip). On budget exhaustion the returned error
+// wraps ErrAttackBudget (a *BudgetError with the work done so far).
+// The seed diversifies distinguishing-input tie-breaking (it seeds the
+// solver's decision phases), so different seeds explore different DIP
+// sequences; a fixed seed is fully deterministic. Evaluate wraps it
+// with the key check every verdict needs.
 func RecoverBitstreamOpts(ln *techmap.LUTNetwork, opts Options) (*Result, error) {
 	maxIters, seed := opts.MaxIters, opts.Seed
 	if maxIters <= 0 {
@@ -326,10 +313,10 @@ func RecoverBitstreamOpts(ln *techmap.LUTNetwork, opts Options) (*Result, error)
 		return nil, fmt.Errorf("attack: network has no LUTs")
 	}
 	s := sat.NewSolver()
-	// Note: phase saving stays off. The DIP query wants a *diverse*
-	// model each iteration (the previous model's neighbourhood has just
-	// been excluded), and measurements on the attack corpus show saved
-	// phases steering the search back into the refuted region.
+	// The solver saves no phases, by design: the DIP query wants a
+	// *diverse* model each iteration (the previous model's neighbourhood
+	// has just been excluded), and measured on the attack corpus, saved
+	// phases steered the search back into the refuted region.
 	ltrue := sat.MkLit(s.NewVar(), false)
 	s.AddClause(ltrue) // constant-true literal
 	lfalse := ltrue.Neg()
@@ -590,4 +577,58 @@ func VerifyKey(ln *techmap.LUTNetwork, masks map[int32]uint64, patterns int, see
 		bad += bits.OnesCount64(diff)
 	}
 	return bad
+}
+
+// Key-check parameters of Evaluate: every cracked verdict is backed by
+// a VerifyKey sweep of this many patterns from this seed.
+const (
+	verifyPatterns = 300
+	verifySeed     = 2
+)
+
+// Verdict is one budgeted attack as Evaluate reports it: the fabric
+// was either cracked with a verified key or survived the budget.
+type Verdict struct {
+	// KeyBits is the number of configuration bits attacked.
+	KeyBits int
+	// Cracked is true when the attack converged and its key passed the
+	// oracle check; false means the fabric survived the budget.
+	Cracked bool
+	// DIPs, Conflicts and Propagations measure the attack's work until
+	// convergence or exhaustion.
+	DIPs         int
+	Conflicts    int
+	Propagations int
+	// Masks is the recovered configuration (per LUT node id), set only
+	// when Cracked.
+	Masks map[int32]uint64
+}
+
+// Evaluate runs the budgeted attack and decides what counts as a
+// crack: budget exhaustion is a verdict (Cracked false, with the work
+// done), not an error, and a converged key must reproduce the oracle on
+// every pattern of a VerifyKey sweep, or Evaluate returns an error
+// naming the bad-pattern count. Any other attack error is returned
+// unchanged. Structural seeding stays with the caller, through
+// opts.FixedKey.
+func Evaluate(ln *techmap.LUTNetwork, opts Options) (Verdict, error) {
+	res, err := RecoverBitstreamOpts(ln, opts)
+	var be *BudgetError
+	if errors.As(err, &be) {
+		return Verdict{KeyBits: be.KeyBits, DIPs: be.Iterations, Conflicts: be.Conflicts, Propagations: be.Propagations}, nil
+	}
+	if err != nil {
+		return Verdict{}, err
+	}
+	if bad := VerifyKey(ln, res.Masks, verifyPatterns, verifySeed); bad != 0 {
+		return Verdict{}, fmt.Errorf("attack: recovered key wrong on %d of %d patterns", bad, verifyPatterns)
+	}
+	return Verdict{
+		KeyBits:      res.KeyBits,
+		Cracked:      true,
+		DIPs:         res.Iterations,
+		Conflicts:    res.Conflicts,
+		Propagations: res.Propagations,
+		Masks:        res.Masks,
+	}, nil
 }

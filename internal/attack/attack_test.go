@@ -62,7 +62,7 @@ endmodule`)
 	if len(ln.FFs) != 3 {
 		t.Fatalf("FFs = %d", len(ln.FFs))
 	}
-	res, err := RecoverBitstream(ln, 200, 3)
+	res, err := RecoverBitstreamOpts(ln, Options{MaxIters: 200, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,11 +80,11 @@ endmodule`)
 module b (input wire [3:0] a, input wire [3:0] k, output wire [3:0] y);
   assign y = (a + k) ^ {a[1:0], k[3:2]};
 endmodule`)
-	rs, err := RecoverBitstream(small, 300, 5)
+	rs, err := RecoverBitstreamOpts(small, Options{MaxIters: 300, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := RecoverBitstream(big, 2000, 5)
+	rb, err := RecoverBitstreamOpts(big, Options{MaxIters: 2000, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,35 +59,13 @@ func BenchmarkAttack(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := RecoverBitstream(ln, 5000, 1)
+				res, err := RecoverBitstreamOpts(ln, Options{MaxIters: 5000, Seed: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
 				if i == 0 {
 					b.Logf("key=%d bits DIPs=%d conflicts=%d reductions=%d deleted=%d",
 						res.KeyBits, res.Iterations, res.Conflicts, res.Reductions, res.DeletedClauses)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAttackReference runs the preserved pre-overhaul engine on
-// the same corpus, so the speedup of the production engine is
-// measurable from one binary.
-func BenchmarkAttackReference(b *testing.B) {
-	for _, tgt := range benchTargets {
-		b.Run(tgt.name, func(b *testing.B) {
-			ln := mapBench(b, tgt.src)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := RecoverBitstreamReference(ln, 5000, 1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					b.Logf("key=%d bits DIPs=%d conflicts=%d", res.KeyBits, res.Iterations, res.Conflicts)
 				}
 			}
 		})

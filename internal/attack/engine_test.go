@@ -2,12 +2,17 @@ package attack
 
 import (
 	"errors"
+	"maps"
 	"runtime"
+	"slices"
 	"testing"
+
+	"alice/internal/techmap"
 )
 
-// crossTargets is a corpus of small designs where both engines finish
-// instantly; used for production-vs-reference cross-checks.
+// crossTargets is a corpus of small designs the engine cracks
+// instantly: four combinational cores (the last two small enough to
+// enumerate every key) and one scan-model sequential design.
 var crossTargets = []string{
 	`module a (input wire [1:0] a, output wire y);
   assign y = a[0] ^ a[1];
@@ -24,32 +29,111 @@ endmodule`,
     else q <= q + d;
   end
 endmodule`,
+	`module e (input wire [2:0] a, output wire y);
+  assign y = (a[0] & a[1]) | a[2];
+endmodule`,
+	`module f (input wire [1:0] a, output wire [1:0] y);
+  assign y = {a[0] & a[1], a[0] | a[1]};
+endmodule`,
 }
 
-// TestEngineVsReference cross-checks the overhauled engine against the
-// preserved pre-overhaul implementation: identical key sizes, and both
-// recovered configurations must be functionally perfect against the
-// oracle.
-func TestEngineVsReference(t *testing.T) {
+// programmed returns a copy of ln whose LUTs carry the given masks.
+func programmed(ln *techmap.LUTNetwork, masks map[int32]uint64) *techmap.LUTNetwork {
+	cp := *ln
+	cp.Nodes = append([]techmap.LNode(nil), ln.Nodes...)
+	for id, m := range masks {
+		cp.Nodes[id].Mask = m
+	}
+	return &cp
+}
+
+// sameOnEveryInput reports whether two programmings of one
+// combinational network agree on every input pattern under the scalar
+// LUT simulator.
+func sameOnEveryInput(a, b *techmap.LUTNetwork) bool {
+	sa, sb := techmap.NewLUTSim(a), techmap.NewLUTSim(b)
+	in := make([]bool, len(a.PIs))
+	for p := 0; p < 1<<len(in); p++ {
+		for i := range in {
+			in[i] = p>>i&1 == 1
+		}
+		if !slices.Equal(sa.Eval(in), sb.Eval(in)) {
+			return false
+		}
+	}
+	return true
+}
+
+// lutMasks unpacks a key (LUT-node order, 2^arity rows per LUT) into
+// per-LUT masks; key == nil takes each LUT's own mask. It also returns
+// the key length.
+func lutMasks(ln *techmap.LUTNetwork, key *uint64) (map[int32]uint64, int) {
+	masks := make(map[int32]uint64)
+	pos := 0
+	for id, nd := range ln.Nodes {
+		if nd.Kind != techmap.LLUT {
+			continue
+		}
+		rows := 1 << len(nd.In)
+		if key == nil {
+			masks[int32(id)] = nd.Mask
+		} else {
+			masks[int32(id)] = *key >> pos & (uint64(1)<<rows - 1)
+		}
+		pos += rows
+	}
+	return masks, pos
+}
+
+// TestAttackKeyExhaustive checks recovered keys against oracles that
+// share no code with the engine. On every combinational target the
+// network programmed with the recovered masks must match the original
+// on every input pattern, and where the key is small enough to
+// enumerate, the recovered key must be one of the keys that pass that
+// check. The sequential target keeps the random-pattern scan check.
+func TestAttackKeyExhaustive(t *testing.T) {
 	for i, src := range crossTargets {
 		ln := mapDesign(t, src)
-		got, err := RecoverBitstream(ln, 2000, 1)
+		got, err := RecoverBitstreamOpts(ln, Options{MaxIters: 2000, Seed: 1})
 		if err != nil {
-			t.Fatalf("target %d: production engine: %v", i, err)
+			t.Fatalf("target %d: %v", i, err)
 		}
-		ref, err := RecoverBitstreamReference(ln, 2000, 1)
-		if err != nil {
-			t.Fatalf("target %d: reference engine: %v", i, err)
+		orig, keyBits := lutMasks(ln, nil)
+		if got.KeyBits != keyBits {
+			t.Errorf("target %d: key bits %d, want %d", i, got.KeyBits, keyBits)
 		}
-		if got.KeyBits != ref.KeyBits {
-			t.Errorf("target %d: key bits %d (production) vs %d (reference)", i, got.KeyBits, ref.KeyBits)
+		if len(ln.FFs) > 0 {
+			if bad := VerifyKey(ln, got.Masks, 500, 2); bad != 0 {
+				t.Errorf("target %d: key wrong on %d patterns", i, bad)
+			}
+			continue
 		}
-		if bad := VerifyKey(ln, got.Masks, 500, 2); bad != 0 {
-			t.Errorf("target %d: production key wrong on %d patterns", i, bad)
+		if len(ln.PIs) > 16 {
+			t.Fatalf("target %d: %d inputs are too many to check exhaustively", i, len(ln.PIs))
 		}
-		if bad := VerifyKey(ln, ref.Masks, 500, 2); bad != 0 {
-			t.Errorf("target %d: reference key wrong on %d patterns", i, bad)
+		if !sameOnEveryInput(ln, programmed(ln, got.Masks)) {
+			t.Errorf("target %d: recovered key differs from the oracle", i)
 		}
+		if keyBits > 16 {
+			continue
+		}
+		passing, recovered, original := 0, false, false
+		for key := uint64(0); key < 1<<keyBits; key++ {
+			m, _ := lutMasks(ln, &key)
+			if !sameOnEveryInput(ln, programmed(ln, m)) {
+				continue
+			}
+			passing++
+			recovered = recovered || maps.Equal(m, got.Masks)
+			original = original || maps.Equal(m, orig)
+		}
+		if !original {
+			t.Errorf("target %d: the enumeration rejects the network's own key", i)
+		}
+		if !recovered {
+			t.Errorf("target %d: recovered key is not among the %d correct keys of %d", i, passing, 1<<keyBits)
+		}
+		t.Logf("target %d: %d key bits, %d correct keys", i, keyBits, passing)
 	}
 }
 
@@ -58,11 +142,11 @@ func TestEngineVsReference(t *testing.T) {
 // longer the dead parameter it once was).
 func TestAttackDeterministic(t *testing.T) {
 	ln := mapDesign(t, crossTargets[1])
-	a, err := RecoverBitstream(ln, 2000, 7)
+	a, err := RecoverBitstreamOpts(ln, Options{MaxIters: 2000, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RecoverBitstream(ln, 2000, 7)
+	b, err := RecoverBitstreamOpts(ln, Options{MaxIters: 2000, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +162,7 @@ func TestAttackDeterministic(t *testing.T) {
 	// stats on at least one of a few tries).
 	diverged := false
 	for seed := int64(8); seed < 12 && !diverged; seed++ {
-		c, err := RecoverBitstream(ln, 2000, seed)
+		c, err := RecoverBitstreamOpts(ln, Options{MaxIters: 2000, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,9 +194,34 @@ func TestAttackBudgetError(t *testing.T) {
 	if be.MaxIters != 1 || be.KeyBits == 0 {
 		t.Fatalf("budget error payload: %+v", be)
 	}
-	// The reference engine reports budget exhaustion the same way.
-	if _, err := RecoverBitstreamReference(ln, 1, 1); !errors.Is(err, ErrAttackBudget) {
-		t.Fatalf("reference: want ErrAttackBudget, got %v", err)
+}
+
+// TestEvaluateVerdicts pins the three outcomes of Evaluate: a crack
+// carries verified masks, budget exhaustion is a verdict with its work
+// counts and no error, and an empty budget is an error.
+func TestEvaluateVerdicts(t *testing.T) {
+	ln := mapDesign(t, crossTargets[1])
+	v, err := Evaluate(ln, Options{MaxIters: 2000, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !v.Cracked || v.Masks == nil || v.KeyBits == 0 {
+		t.Fatalf("crack verdict: %+v", v)
+	}
+	if bad := VerifyKey(ln, v.Masks, 500, 5); bad != 0 {
+		t.Fatalf("cracked verdict key wrong on %d patterns", bad)
+	}
+
+	v, err = Evaluate(ln, Options{MaxIters: 1, Seed: 1, NoWarmup: true})
+	if err != nil {
+		t.Fatalf("budget exhaustion must be a verdict, got %v", err)
+	}
+	if v.Cracked || v.DIPs != 1 || v.Masks != nil || v.KeyBits == 0 {
+		t.Fatalf("survived verdict: %+v", v)
+	}
+
+	if _, err := Evaluate(ln, Options{Seed: 1}); err == nil {
+		t.Fatal("empty budget accepted")
 	}
 }
 
@@ -177,8 +286,8 @@ func TestAttackAllocs(t *testing.T) {
 	}
 	perIter := float64(m1.Mallocs-m0.Mallocs) / float64(iters)
 	t.Logf("%d DIPs, %.0f allocs/iteration", iters, perIter)
-	// The reference engine measures ~2600 allocs/iteration on this
-	// design; keep the overhauled engine an order of magnitude below.
+	// The pre-overhaul engine measured ~2600 allocs/iteration on this
+	// design; stay an order of magnitude below.
 	if perIter > 260 {
 		t.Errorf("allocation regression: %.0f allocs per iteration", perIter)
 	}

@@ -27,6 +27,21 @@ func elab(t *testing.T, src string) (*rtl.Design, *rtl.Dataflow) {
 	return d, df
 }
 
+// runFlow runs the flow on a parsed design sequentially.
+func runFlow(ast *verilog.Design, cfg *Config) (*Report, error) {
+	return RunPipeline(context.Background(), ast, cfg, RunOptions{Parallelism: 1})
+}
+
+// runSource runs the flow on Verilog text sequentially.
+func runSource(t *testing.T, src string, cfg *Config) (*Report, error) {
+	t.Helper()
+	ast, err := verilog.Parse(src)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	return runFlow(ast, cfg)
+}
+
 func TestLoadConfig(t *testing.T) {
 	cfg, err := LoadConfig(`
 top: gcd
@@ -171,7 +186,7 @@ func TestFullFlowGCDCfg1(t *testing.T) {
 	b, _ := bench.ByName("gcd")
 	cfg := Cfg1()
 	cfg.SelectedOutputs = b.SelectedOutputs
-	rep, err := RunSource(b.Source(), cfg)
+	rep, err := runSource(t, b.Source(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +210,7 @@ func TestFullFlowGCDCfg2(t *testing.T) {
 	b, _ := bench.ByName("gcd")
 	cfg := Cfg2()
 	cfg.SelectedOutputs = b.SelectedOutputs
-	rep, err := RunSource(b.Source(), cfg)
+	rep, err := runSource(t, b.Source(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +230,7 @@ func TestFullFlowIIRCfg1Diagnostic(t *testing.T) {
 	b, _ := bench.ByName("iir")
 	cfg := Cfg1()
 	cfg.SelectedOutputs = b.SelectedOutputs
-	rep, err := RunSource(b.Source(), cfg)
+	rep, err := runSource(t, b.Source(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +254,7 @@ func TestRedactionEquivalenceGCD(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Run(ast, cfg)
+	rep, err := runFlow(ast, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +299,7 @@ func TestRedactionEquivalenceSASC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Run(ast, cfg)
+	rep, err := runFlow(ast, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +336,7 @@ func TestRedactionNestedParentDES3(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Run(ast, cfg)
+	rep, err := runFlow(ast, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +360,7 @@ func TestSelectEFPGAsBudget(t *testing.T) {
 	b, _ := bench.ByName("usb_phy")
 	cfg := Cfg1()
 	cfg.SelectedOutputs = b.SelectedOutputs
-	rep, err := RunSource(b.Source(), cfg)
+	rep, err := runSource(t, b.Source(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -114,24 +114,6 @@ type RunOptions struct {
 	Cache Cache
 }
 
-// RunSource parses Verilog text and runs the flow.
-func RunSource(src string, cfg *Config) (*Report, error) {
-	ast, err := verilog.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	return Run(ast, cfg)
-}
-
-// Run executes the complete ALICE flow (Fig. 3) sequentially without
-// cancellation — the legacy one-shot entry point, now a thin shim over
-// RunPipeline. A design where no admissible solution exists returns a
-// Report with Err set (and no error), mirroring the paper's "(n.a.)"
-// rows — the flow result is the diagnostic.
-func Run(ast *verilog.Design, cfg *Config) (*Report, error) {
-	return RunPipeline(context.Background(), ast, cfg, RunOptions{Parallelism: 1})
-}
-
 // RunPipeline executes the staged flow: Elaborate → Filter → Cluster →
 // Characterize → Select → Implement → Redact. Flow diagnostics (no
 // candidates, no cluster, no solution) land in Report.Err as stage-

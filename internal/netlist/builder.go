@@ -140,12 +140,6 @@ func (bd *Builder) Xor(x, y int32) int32 {
 // Xnor returns ~(x ^ y).
 func (bd *Builder) Xnor(x, y int32) int32 { return bd.Not(bd.Xor(x, y)) }
 
-// Nand returns ~(x & y).
-func (bd *Builder) Nand(x, y int32) int32 { return bd.Not(bd.And(x, y)) }
-
-// Nor returns ~(x | y).
-func (bd *Builder) Nor(x, y int32) int32 { return bd.Not(bd.Or(x, y)) }
-
 // Mux returns sel ? d1 : d0 with simplification.
 func (bd *Builder) Mux(sel, d0, d1 int32) int32 {
 	switch {

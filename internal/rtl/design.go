@@ -2,8 +2,8 @@
 // and port widths, builds the module and instance hierarchy, computes the
 // structural characteristics ALICE filters on (I/O pin counts), and
 // provides the dataflow analysis that determines which modules affect
-// selected outputs (Sec. 4 of the paper) together with the dominator-tree
-// machinery used to pick eFPGA insertion points (Sec. 6).
+// selected outputs (Sec. 4 of the paper) together with the instance-tree
+// lowest common ancestor used to pick eFPGA insertion points (Sec. 6).
 package rtl
 
 import (

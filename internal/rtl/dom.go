@@ -1,97 +1,5 @@
 package rtl
 
-// Dominators computes immediate dominators for a rooted directed graph
-// using the Cooper–Harvey–Kennedy iterative algorithm. succs[v] lists the
-// successors of node v; root must reach every node that matters. The
-// returned slice maps each node to its immediate dominator (idom[root] ==
-// root); nodes unreachable from root map to -1.
-//
-// ALICE uses dominator analysis on the module hierarchy to choose where
-// to insert an eFPGA instance that absorbs modules spread around the
-// design (Sec. 6 of the paper).
-func Dominators(n, root int, succs [][]int) []int {
-	// Reverse postorder numbering.
-	order := make([]int, 0, n)
-	state := make([]int, n) // 0 unvisited, 1 on stack, 2 done
-	type frame struct {
-		v, i int
-	}
-	stack := []frame{{root, 0}}
-	state[root] = 1
-	for len(stack) > 0 {
-		f := &stack[len(stack)-1]
-		if f.i < len(succs[f.v]) {
-			w := succs[f.v][f.i]
-			f.i++
-			if state[w] == 0 {
-				state[w] = 1
-				stack = append(stack, frame{w, 0})
-			}
-			continue
-		}
-		state[f.v] = 2
-		order = append(order, f.v)
-		stack = stack[:len(stack)-1]
-	}
-	// order is postorder; reverse it.
-	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-		order[i], order[j] = order[j], order[i]
-	}
-	rpo := make([]int, n)
-	for i := range rpo {
-		rpo[i] = -1
-	}
-	for i, v := range order {
-		rpo[v] = i
-	}
-	preds := make([][]int, n)
-	for v := 0; v < n; v++ {
-		for _, w := range succs[v] {
-			preds[w] = append(preds[w], v)
-		}
-	}
-	idom := make([]int, n)
-	for i := range idom {
-		idom[i] = -1
-	}
-	idom[root] = root
-	intersect := func(a, b int) int {
-		for a != b {
-			for rpo[a] > rpo[b] {
-				a = idom[a]
-			}
-			for rpo[b] > rpo[a] {
-				b = idom[b]
-			}
-		}
-		return a
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, v := range order {
-			if v == root {
-				continue
-			}
-			newIdom := -1
-			for _, p := range preds[v] {
-				if idom[p] == -1 {
-					continue
-				}
-				if newIdom == -1 {
-					newIdom = p
-				} else {
-					newIdom = intersect(newIdom, p)
-				}
-			}
-			if newIdom != -1 && idom[v] != newIdom {
-				idom[v] = newIdom
-				changed = true
-			}
-		}
-	}
-	return idom
-}
-
 // LCA returns the lowest common ancestor of the given instance nodes in
 // the instance tree, or nil for an empty slice. For a single node it
 // returns that node's parent if it has one (the enclosing module is the

@@ -1,96 +1,10 @@
 package rtl
 
 import (
-	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"alice/internal/verilog"
 )
-
-func TestDominatorsDiamond(t *testing.T) {
-	// 0 -> 1, 0 -> 2, 1 -> 3, 2 -> 3, 3 -> 4
-	succs := [][]int{{1, 2}, {3}, {3}, {4}, {}}
-	idom := Dominators(5, 0, succs)
-	want := []int{0, 0, 0, 0, 3}
-	for i, w := range want {
-		if idom[i] != w {
-			t.Errorf("idom[%d] = %d, want %d", i, idom[i], w)
-		}
-	}
-}
-
-func TestDominatorsLoop(t *testing.T) {
-	// 0 -> 1 -> 2 -> 1 (loop), 2 -> 3
-	succs := [][]int{{1}, {2}, {1, 3}, {}}
-	idom := Dominators(4, 0, succs)
-	want := []int{0, 0, 1, 2}
-	for i, w := range want {
-		if idom[i] != w {
-			t.Errorf("idom[%d] = %d, want %d", i, idom[i], w)
-		}
-	}
-}
-
-func TestDominatorsUnreachable(t *testing.T) {
-	succs := [][]int{{1}, {}, {1}} // node 2 unreachable from 0
-	idom := Dominators(3, 0, succs)
-	if idom[2] != -1 {
-		t.Errorf("unreachable node idom = %d, want -1", idom[2])
-	}
-}
-
-// Property: on a random tree (edges parent->child), the immediate
-// dominator of every node is its parent.
-func TestQuickDominatorsOnTrees(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 2 + r.Intn(40)
-		parent := make([]int, n)
-		succs := make([][]int, n)
-		for v := 1; v < n; v++ {
-			p := r.Intn(v)
-			parent[v] = p
-			succs[p] = append(succs[p], v)
-		}
-		idom := Dominators(n, 0, succs)
-		for v := 1; v < n; v++ {
-			if idom[v] != parent[v] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: adding a bypass edge root->v can only move v's dominator up
-// to the root.
-func TestQuickDominatorsBypass(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 3 + r.Intn(30)
-		succs := make([][]int, n)
-		for v := 1; v < n; v++ {
-			succs[r.Intn(v)] = append(succs[r.Intn(v)], v)
-		}
-		// Ensure chain connectivity so everything is reachable.
-		for v := 1; v < n; v++ {
-			succs[v-1] = append(succs[v-1], v)
-		}
-		v := 1 + r.Intn(n-1)
-		succs[0] = append(succs[0], v)
-		idom := Dominators(n, 0, succs)
-		// v now has a direct edge from the root, so only the root
-		// dominates it.
-		return idom[v] == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
 
 func TestLCAAndInsertionPoint(t *testing.T) {
 	src := `

@@ -1,8 +1,8 @@
 // Package sat implements a compact CDCL SAT solver (two-watched
 // literals, first-UIP clause learning, VSIDS-style activities with an
-// order heap, phase saving, Luby restarts, LBD-tagged learned-clause
-// deletion) used by the security evaluation: the oracle-guided attack
-// on eFPGA bitstreams and the equivalence checks of the redaction flow.
+// order heap, seeded decision phases, Luby restarts, LBD-tagged
+// learned-clause deletion) used by the security evaluation: the
+// oracle-guided attack on eFPGA bitstreams.
 //
 // The hot paths are slice-based: all clause literals live in one flat
 // arena addressed by {offset,length} headers (no per-clause allocation,
@@ -37,9 +37,6 @@ func (l Lit) Neg() Lit { return l ^ 1 }
 
 // Var returns the literal's 1-based variable.
 func (l Lit) Var() int { return int(l >> 1) }
-
-// Sign reports whether the literal is negated.
-func (l Lit) Sign() bool { return l&1 == 1 }
 
 // lbool is a three-valued assignment encoded so literal evaluation is
 // branchless: value(l) = assign[var] XOR sign(l), with any result >= 2
@@ -109,23 +106,21 @@ const (
 // Solver is a CDCL SAT solver. The zero value is not usable; create
 // with NewSolver.
 type Solver struct {
-	nVars     int
-	clLits    []Lit        // flat literal arena, addressed by cls headers
-	cls       []clauseMeta // all clauses, problem and learned
-	nProblem  int          // count of non-learned clauses
-	nLearned  int
-	watches   [][]watcher // indexed by int(Lit)
-	assign    []lbool     // per var (1-based)
-	level     []int
-	reason    []cref
-	trail     []Lit
-	trailLim  []int
-	activity  []float64
-	phase     []bool // saved polarity per var (true = assign true first)
-	phaseSave bool   // update phase[] from assignments on backtrack
-	varInc    float64
-	qhead     int
-	unsat     bool // sticky root-level UNSAT
+	nVars    int
+	clLits   []Lit        // flat literal arena, addressed by cls headers
+	cls      []clauseMeta // all clauses, problem and learned
+	nLearned int
+	watches  [][]watcher // indexed by int(Lit)
+	assign   []lbool     // per var (1-based)
+	level    []int
+	reason   []cref
+	trail    []Lit
+	trailLim []int
+	activity []float64
+	phase    []bool // decision polarity per var (true = assign true first)
+	varInc   float64
+	qhead    int
+	unsat    bool // sticky root-level UNSAT
 
 	// VSIDS order heap: heap holds vars ordered by activity, hpos maps
 	// var -> heap index (-1 when absent).
@@ -144,13 +139,6 @@ type Solver struct {
 	anStack  []Lit  // litRedundant DFS stack
 
 	nextReduce int // conflict count triggering the next reduction
-
-	// Dynamic (Glucose-style) restarts: fire early when the short-term
-	// LBD average degrades against the long-term one. Opt-in; the Luby
-	// schedule remains the backstop either way.
-	emaRestarts bool
-	lbdEmaFast  float64
-	lbdEmaSlow  float64
 
 	// Stats.
 	Conflicts    int
@@ -211,26 +199,7 @@ func (s *Solver) NewVars(n int) int {
 	return first
 }
 
-// SetPhaseSaving toggles phase saving: when enabled, a variable keeps
-// the polarity it last held when it is decided again. Off by default —
-// the default polarity-false decisions reproduce the historical search
-// order exactly. The textbook advice is to enable it for long
-// incremental runs, but measure first: the oracle-guided attack keeps
-// it off, because its distinguishing-input queries want a *diverse*
-// model per call and saved phases steer the search back into the
-// just-refuted region (see the note in attack.RecoverBitstreamOpts).
-func (s *Solver) SetPhaseSaving(on bool) { s.phaseSave = on }
-
-// SetDynamicRestarts toggles LBD-driven dynamic restarts (in addition
-// to the Luby backstop): the solver restarts early whenever the
-// short-term average LBD of learned clauses degrades against the
-// long-term average. Off by default (the Luby-only schedule reproduces
-// the historical search); enabled by callers whose workload is
-// dominated by long refutations, like the attack's final
-// "no distinguishing input remains" proof.
-func (s *Solver) SetDynamicRestarts(on bool) { s.emaRestarts = on }
-
-// SeedPhases sets a deterministic pseudo-random saved phase for every
+// SeedPhases sets a deterministic pseudo-random decision phase for every
 // currently allocated variable (splitmix64 over the seed). Callers use
 // it to diversify the first models the solver produces — e.g. the
 // distinguishing-input sequence of the oracle-guided attack — without
@@ -397,7 +366,6 @@ func (s *Solver) AddClausesFlat(lits []Lit, ends []int32) bool {
 		default:
 			c := cref(len(s.cls))
 			s.cls = append(s.cls, clauseMeta{off: base, n: n})
-			s.nProblem++
 			s.watch(c)
 		}
 	}
@@ -412,8 +380,6 @@ func (s *Solver) addClauseLits(lits []Lit, learned bool, lbd int) cref {
 	s.cls = append(s.cls, clauseMeta{off: off, n: int32(len(lits)), learned: learned, lbd: int32(lbd)})
 	if learned {
 		s.nLearned++
-	} else {
-		s.nProblem++
 	}
 	s.watch(c)
 	return c
@@ -725,9 +691,6 @@ func (s *Solver) cancelUntil(level int) {
 	}
 	for i := len(s.trail) - 1; i >= s.trailLim[level]; i-- {
 		v := s.trail[i].Var()
-		if s.phaseSave {
-			s.phase[v] = s.assign[v] == lTrue
-		}
 		s.assign[v] = lUndef
 		s.reason[v] = crefUndef
 		s.heapInsert(int32(v))
@@ -934,11 +897,6 @@ func (s *Solver) SolveBudgeted(maxConflicts int, assumps ...Lit) (result, decide
 				return false, false
 			}
 			learnt, back, lbd := s.analyze(confl)
-			// LBD exponential moving averages drive dynamic restarts: a
-			// burst of high-LBD (poor) clauses relative to the long-term
-			// average means the search is stuck in an unproductive region.
-			s.lbdEmaFast += (float64(lbd) - s.lbdEmaFast) / 32
-			s.lbdEmaSlow += (float64(lbd) - s.lbdEmaSlow) / 8192
 			s.cancelUntil(back)
 			if len(learnt) == 1 {
 				s.cancelUntil(0)
@@ -960,11 +918,7 @@ func (s *Solver) SolveBudgeted(maxConflicts int, assumps ...Lit) (result, decide
 				s.uncheckedEnqueue(learnt[0], c)
 			}
 			s.varInc *= 1.05
-			shouldRestart := conflicts > conflictBudget
-			if s.emaRestarts && !shouldRestart {
-				shouldRestart = conflicts >= 50 && s.lbdEmaFast > 1.25*s.lbdEmaSlow
-			}
-			if shouldRestart {
+			if conflicts > conflictBudget {
 				restart++
 				conflictBudget = 64 * luby(restart)
 				conflicts = 0
@@ -1008,12 +962,3 @@ func (s *Solver) SolveBudgeted(maxConflicts int, assumps ...Lit) (result, decide
 // ValueOf returns the model value of a 1-based variable after a
 // successful Solve.
 func (s *Solver) ValueOf(v int) bool { return s.assign[v] == lTrue }
-
-// NumVars returns the number of allocated variables.
-func (s *Solver) NumVars() int { return s.nVars }
-
-// NumClauses returns the number of problem clauses.
-func (s *Solver) NumClauses() int { return s.nProblem }
-
-// NumLearned returns the number of currently retained learned clauses.
-func (s *Solver) NumLearned() int { return s.nLearned }

@@ -492,14 +492,6 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	return append([]byte(nil), v...), true
 }
 
-// Has reports whether key is live, without counting a Get.
-func (s *Store) Has(key string) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	_, ok := s.index[key]
-	return ok
-}
-
 // Len returns the number of live keys.
 func (s *Store) Len() int {
 	s.mu.RLock()

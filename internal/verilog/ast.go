@@ -290,10 +290,5 @@ func (*Slice) exprNode()   {}
 // Num returns an unsized decimal literal expression.
 func Num(v uint64) *Number { return &Number{Width: 32, Val: v} }
 
-// SizedNum returns a sized literal expression of the given width.
-func SizedNum(width int, v uint64) *Number {
-	return &Number{Width: width, Val: v, Sized: true, Base: 'h'}
-}
-
 // ID returns an identifier expression.
 func ID(name string) *Ident { return &Ident{Name: name} }

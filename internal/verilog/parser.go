@@ -56,13 +56,6 @@ func ParseExpr(src string) (Expr, error) {
 
 func (p *Parser) cur() Token { return p.toks[p.pos] }
 
-func (p *Parser) peekAt(n int) Token {
-	if p.pos+n >= len(p.toks) {
-		return p.toks[len(p.toks)-1]
-	}
-	return p.toks[p.pos+n]
-}
-
 func (p *Parser) advance() Token {
 	t := p.toks[p.pos]
 	if t.Kind != EOF {

@@ -1,6 +1,7 @@
 package alice
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -47,7 +48,7 @@ func TestMalformedInputNeverPanics(t *testing.T) {
 					t.Fatalf("library panicked on malformed input: %v", r)
 				}
 			}()
-			rep, err := RunSource(src, Cfg1())
+			rep, err := NewEngine(WithConfig(Cfg1())).RunSource(context.Background(), src)
 			if err != nil {
 				return // typed hard failure: the CLI prints it and exits
 			}
@@ -78,7 +79,7 @@ func TestMalformedInputNeverPanics(t *testing.T) {
 func TestVerifyRedactionPortLossIsTyped(t *testing.T) {
 	src := "module top(input [7:0] a, output [7:0] z); sub u0(.a(a), .z(z)); endmodule\n" +
 		"module sub(input [7:0] a, output [7:0] z); assign z = ~a; endmodule"
-	rep, err := RunSource(src, Cfg1())
+	rep, err := NewEngine(WithConfig(Cfg1())).RunSource(context.Background(), src)
 	if err != nil || rep.Err != nil {
 		t.Fatalf("flow: %v / %v", err, rep.Err)
 	}

@@ -644,24 +644,16 @@ func runAttack(fc *alice.FabricCandidate, opts attack.Options) AttackVerdict {
 	v := AttackVerdict{
 		Fabric: fmt.Sprintf("%dx%d K%d/N%d", arch.W, arch.W, arch.LUTSize, arch.BLEsPerCLB),
 	}
-	res, err := attack.RecoverBitstreamOpts(fc.Fabric.LUTs, opts)
-	switch {
-	case err == nil:
-		v.Cracked = true
-		v.KeyBits = res.KeyBits
-		v.Iterations = res.Iterations
-		v.Conflicts = res.Conflicts
-	default:
-		var be *attack.BudgetError
-		if errors.As(err, &be) {
-			v.BudgetExceeded = true
-			v.KeyBits = be.KeyBits
-			v.Iterations = be.Iterations
-			v.Conflicts = be.Conflicts
-		} else {
-			v.Error = err.Error()
-		}
+	ev, err := attack.Evaluate(fc.Fabric.LUTs, opts)
+	if err != nil {
+		v.Error = err.Error()
+		return v
 	}
+	v.KeyBits = ev.KeyBits
+	v.Cracked = ev.Cracked
+	v.BudgetExceeded = !ev.Cracked
+	v.Iterations = ev.DIPs
+	v.Conflicts = ev.Conflicts
 	return v
 }
 
