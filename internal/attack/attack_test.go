@@ -10,7 +10,7 @@ import (
 	"alice/internal/verilog"
 )
 
-func mapDesign(t *testing.T, src string) *techmap.LUTNetwork {
+func mapDesign(t testing.TB, src string) *techmap.LUTNetwork {
 	t.Helper()
 	ast, err := verilog.Parse(src)
 	if err != nil {

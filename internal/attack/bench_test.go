@@ -1,14 +1,6 @@
 package attack
 
-import (
-	"testing"
-
-	"alice/internal/opt"
-	"alice/internal/rtl"
-	"alice/internal/synth"
-	"alice/internal/techmap"
-	"alice/internal/verilog"
-)
+import "testing"
 
 // benchTargets mirrors the alicebench attack corpus: combinational
 // cores of growing key size. mix6 is the hardest pre-overhaul-feasible
@@ -28,34 +20,13 @@ endmodule`},
 endmodule`},
 }
 
-func mapBench(b *testing.B, src string) *techmap.LUTNetwork {
-	b.Helper()
-	ast, err := verilog.Parse(src)
-	if err != nil {
-		b.Fatal(err)
-	}
-	d, err := rtl.Elaborate(ast, "")
-	if err != nil {
-		b.Fatal(err)
-	}
-	res, err := synth.Synthesize(d)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ln, err := techmap.Map(opt.Optimize(res.Netlist))
-	if err != nil {
-		b.Fatal(err)
-	}
-	return ln
-}
-
 // BenchmarkAttack runs the production oracle-guided attack engine on
 // the attack corpus (the security-evaluation hot kernel). Run with
 // -benchtime 1x in CI smoke; the per-target stats are logged once.
 func BenchmarkAttack(b *testing.B) {
 	for _, tgt := range benchTargets {
 		b.Run(tgt.name, func(b *testing.B) {
-			ln := mapBench(b, tgt.src)
+			ln := mapDesign(b, tgt.src)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

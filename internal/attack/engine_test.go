@@ -2,6 +2,7 @@ package attack
 
 import (
 	"errors"
+	"fmt"
 	"maps"
 	"runtime"
 	"slices"
@@ -134,6 +135,54 @@ func TestAttackKeyExhaustive(t *testing.T) {
 			t.Errorf("target %d: recovered key is not among the %d correct keys of %d", i, passing, 1<<keyBits)
 		}
 		t.Logf("target %d: %d key bits, %d correct keys", i, keyBits, passing)
+	}
+}
+
+// searchCounts is one attack's search, counted.
+type searchCounts struct {
+	Iterations, Conflicts, Decisions, Propagations, Reductions, DeletedClauses int
+}
+
+// TestAttackSearchGolden pins the attack's search at seed 1 on the
+// cross-check corpus (at its 2000-DIP budget, with and without the
+// warm-up) and on the benchmark corpus (at BenchmarkAttack's settings):
+// a change to the solver's data layout or bookkeeping must leave every
+// count unchanged. mix6 passes activity rescales and learned-clause
+// reductions.
+func TestAttackSearchGolden(t *testing.T) {
+	want := map[string]searchCounts{
+		"target 0":            {0, 4, 5, 47, 0, 0},
+		"target 0 no warm-up": {4, 4, 25, 121, 0, 0},
+		"target 1":            {0, 1695, 2820, 361723, 0, 0},
+		"target 1 no warm-up": {34, 1419, 5568, 160489, 0, 0},
+		"target 2":            {0, 257, 366, 14400, 0, 0},
+		"target 2 no warm-up": {26, 269, 1640, 13828, 0, 0},
+		"target 3":            {0, 258, 366, 15109, 0, 0},
+		"target 3 no warm-up": {22, 260, 1618, 12184, 0, 0},
+		"target 4":            {0, 9, 11, 107, 0, 0},
+		"target 4 no warm-up": {8, 9, 87, 359, 0, 0},
+		"target 5":            {0, 4, 5, 89, 0, 0},
+		"target 5 no warm-up": {4, 4, 46, 231, 0, 0},
+		"add4":                {0, 1695, 2820, 361723, 0, 0},
+		"sbox6":               {0, 257, 366, 14400, 0, 0},
+		"mix6":                {8, 88204, 138424, 32017445, 17, 62036},
+	}
+	check := func(name, src string, opts Options) {
+		res, err := RecoverBitstreamOpts(mapDesign(t, src), opts)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got := searchCounts{res.Iterations, res.Conflicts, res.Decisions, res.Propagations, res.Reductions, res.DeletedClauses}
+		if got != want[name] {
+			t.Errorf("%s: %+v, want %+v", name, got, want[name])
+		}
+	}
+	for i, src := range crossTargets {
+		check(fmt.Sprintf("target %d", i), src, Options{MaxIters: 2000, Seed: 1})
+		check(fmt.Sprintf("target %d no warm-up", i), src, Options{MaxIters: 2000, Seed: 1, NoWarmup: true})
+	}
+	for _, tgt := range benchTargets {
+		check(tgt.name, tgt.src, Options{MaxIters: 5000, Seed: 1})
 	}
 }
 

@@ -2,6 +2,7 @@ package sat
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -117,27 +118,7 @@ func TestPhaseSavingAndSeedVerdicts(t *testing.T) {
 func TestReduceDBKeepsVerdicts(t *testing.T) {
 	// Pigeonhole 8 into 7: enough conflicts to trigger reductions.
 	s := NewSolver()
-	const holes, pigeons = 7, 8
-	var v [pigeons][holes]int
-	for p := 0; p < pigeons; p++ {
-		for h := 0; h < holes; h++ {
-			v[p][h] = s.NewVar()
-		}
-	}
-	for p := 0; p < pigeons; p++ {
-		lits := make([]Lit, holes)
-		for h := 0; h < holes; h++ {
-			lits[h] = MkLit(v[p][h], false)
-		}
-		s.AddClause(lits...)
-	}
-	for h := 0; h < holes; h++ {
-		for p1 := 0; p1 < pigeons; p1++ {
-			for p2 := p1 + 1; p2 < pigeons; p2++ {
-				s.AddClause(MkLit(v[p1][h], true), MkLit(v[p2][h], true))
-			}
-		}
-	}
+	pigeonhole(s, 8, 7)
 	if s.Solve() {
 		t.Fatal("pigeonhole must be UNSAT")
 	}
@@ -146,6 +127,103 @@ func TestReduceDBKeepsVerdicts(t *testing.T) {
 	}
 	if s.Deleted == 0 {
 		t.Fatal("expected deleted learned clauses")
+	}
+
+	// Random 3-SAT with a planted solution, grown between solves: half
+	// the clauses hold only under an activation literal, which every
+	// solve assumes. Each model must satisfy every clause added so far.
+	const nv, perRound = 200, 40
+	r := rand.New(rand.NewSource(3))
+	s = NewSolver()
+	s.NewVars(nv)
+	act := MkLit(s.NewVar(), false)
+	plant := make([]bool, nv+1)
+	for v := 1; v <= nv; v++ {
+		plant[v] = r.Intn(2) == 1
+	}
+	var clauses [][3]Lit
+	for round := 0; s.Reductions < 2; round++ {
+		if round == 100 {
+			t.Fatalf("only %d reductions after %d rounds (conflicts=%d)", s.Reductions, round, s.Conflicts)
+		}
+		for i := 0; i < perRound; i++ {
+			var c [3]Lit
+			for k := range c {
+				c[k] = MkLit(1+r.Intn(nv), r.Intn(2) == 1)
+			}
+			// Make the planted assignment satisfy the clause.
+			if !slices.ContainsFunc(c[:], func(l Lit) bool { return plant[l.Var()] == (l&1 == 0) }) {
+				v := c[0].Var()
+				c[0] = MkLit(v, !plant[v])
+			}
+			clauses = append(clauses, c)
+			if i%2 == 0 {
+				s.AddClause(c[0], c[1], c[2])
+			} else {
+				s.AddClause(act.Neg(), c[0], c[1], c[2])
+			}
+		}
+		if !s.SolveAssuming(act) {
+			t.Fatalf("round %d: planted formula reported UNSAT", round)
+		}
+		for _, c := range clauses {
+			if !slices.ContainsFunc(c[:], func(l Lit) bool { return s.ValueOf(l.Var()) == (l&1 == 0) }) {
+				t.Fatalf("round %d: model violates clause %v", round, c)
+			}
+		}
+	}
+	t.Logf("%d clauses, %d conflicts, %d reductions", len(clauses), s.Conflicts, s.Reductions)
+}
+
+// TestReduceDBMovesRootReasons checks the in-place compaction of the
+// clause arena: a root assignment's reason clause that sits behind
+// deleted learned clauses moves down, its reason must follow, and
+// every kept clause must keep its literals.
+func TestReduceDBMovesRootReasons(t *testing.T) {
+	const learned = 80
+	s := NewSolver()
+	s.NewVars(2 + 3*learned)
+	// Learned clause i is over vars 3i+3..3i+5; LBDs 3..6 make every one
+	// a deletion candidate.
+	for i := 0; i < learned; i++ {
+		v := 3 + 3*i
+		s.addClauseLits([]Lit{MkLit(v, false), MkLit(v+1, true), MkLit(v+2, false)}, true, 3+i%4)
+	}
+	s.AddClause(MkLit(1, true), MkLit(2, false)) // x1 -> x2
+	s.AddClause(MkLit(1, false))
+	before := s.reason[2]
+	if before == crefUndef {
+		t.Fatal("x2 should be implied at the root")
+	}
+	s.reduceDB()
+	if s.Reductions != 1 || s.Deleted != learned/2 {
+		t.Fatalf("reductions %d, deleted %d; want 1, %d", s.Reductions, s.Deleted, learned/2)
+	}
+	after := s.reason[2]
+	if after >= before {
+		t.Fatalf("reason of x2 at %d, was %d: the compaction did not move it", after, before)
+	}
+	if got := s.litsOf(after); !slices.Contains(got, MkLit(2, false)) || !slices.Contains(got, MkLit(1, true)) {
+		t.Fatalf("reason of x2 reads %v", got)
+	}
+	kept := 0
+	for c := 0; c < len(s.clLits); c += 2 + int(s.clLits[c]) {
+		if s.clLits[c+1]&hdrLearned == 0 {
+			continue
+		}
+		kept++
+		lits := slices.Clone(s.litsOf(cref(c)))
+		slices.Sort(lits)
+		v := lits[0].Var()
+		if (v-3)%3 != 0 || !slices.Equal(lits, []Lit{MkLit(v, false), MkLit(v+1, true), MkLit(v+2, false)}) {
+			t.Fatalf("kept learned clause at %d reads %v", c, lits)
+		}
+	}
+	if kept != learned/2 {
+		t.Fatalf("%d learned clauses kept, want %d", kept, learned/2)
+	}
+	if !s.Solve() || !s.ValueOf(1) || !s.ValueOf(2) {
+		t.Fatal("x1 and x2 must hold after the reduction")
 	}
 }
 

@@ -4,17 +4,18 @@
 // learned-clause deletion) used by the security evaluation: the
 // oracle-guided attack on eFPGA bitstreams.
 //
-// The hot paths are slice-based: all clause literals live in one flat
-// arena addressed by {offset,length} headers (no per-clause allocation,
-// no pointer chasing), watch lists are slices indexed directly by
-// literal value, and every watch entry carries a blocker literal so
-// satisfied clauses are skipped without touching the clause memory at
-// all. The solver is incremental in two ways: clauses can be added
-// between Solve calls (individually or in bulk with AddClausesFlat),
-// and SolveAssuming decides satisfiability under a set of assumption
-// literals without committing them, so one solver instance can answer
-// both the "is there a distinguishing input" and the "give me a
-// witness key" queries of the attack loop.
+// The hot paths are slice-based: every clause is one block of a flat
+// arena, a two-word clause header (length; flags and LBD) followed by
+// its literals, so visiting a clause touches one block (no per-clause
+// allocation, no pointer chasing); watch lists are slices indexed
+// directly by literal value, and every watch entry carries a blocker
+// literal so satisfied clauses are skipped without touching the clause
+// memory at all. The solver is incremental in two ways: clauses can be
+// added between Solve calls (individually or in bulk with
+// AddClausesFlat), and SolveAssuming decides satisfiability under a set
+// of assumption literals without committing them, so one solver
+// instance can answer both the "is there a distinguishing input" and
+// the "give me a witness key" queries of the attack loop.
 package sat
 
 import "sort"
@@ -49,26 +50,29 @@ const (
 	lUndef lbool = 2
 )
 
-// cref references a clause header in the solver's clause list;
-// crefUndef means none.
+// cref is the arena offset of a clause header; crefUndef means none.
+// Watchers store cref<<1 in an int32, so the arena holds fewer than
+// 2^30 words (4 GiB).
 type cref int32
 
 const crefUndef cref = -1
 
-// clauseMeta is one clause header: its literals are
-// clLits[off : off+n]. Learned clauses carry the LBD (literal block
-// distance: the number of distinct decision levels in the clause when
-// it was learned) that drives the deletion policy, and a used flag set
-// whenever the clause serves as an antecedent in conflict analysis —
-// recently useful clauses survive the next reduction regardless of
-// their LBD.
-type clauseMeta struct {
-	off     int32
-	n       int32
-	lbd     int32
-	learned bool
-	used    bool
-}
+// Clause header. The clause at cref c occupies clLits[c : c+2+n]:
+// clLits[c] is its length n, clLits[c+1] its flags with the LBD above
+// them, and clLits[c+2 : c+2+n] its literals. Learned clauses carry
+// the LBD (literal block distance: the number of distinct decision
+// levels in the clause when it was learned) that drives the deletion
+// policy, and a used flag set whenever the clause serves as an
+// antecedent in conflict analysis — recently useful clauses survive
+// the next reduction regardless of their LBD.
+const (
+	hdrUsed    Lit = 1 << iota // antecedent since the last reduction
+	hdrLearned                 // learned clause: a deletion candidate
+	hdrLocked                  // reduceDB scratch: reason of a root assignment
+	hdrDeleted                 // reduceDB scratch: dropped by this reduction
+
+	hdrLBDShift = 4 // the LBD sits above the four flag bits
+)
 
 // watcher is one two-watched-literal entry: the clause to visit and a
 // blocker literal (some other literal of the clause); when the blocker
@@ -107,8 +111,7 @@ const (
 // with NewSolver.
 type Solver struct {
 	nVars    int
-	clLits   []Lit        // flat literal arena, addressed by cls headers
-	cls      []clauseMeta // all clauses, problem and learned
+	clLits   []Lit // clause arena: per clause a header, then its literals
 	nLearned int
 	watches  [][]watcher // indexed by int(Lit)
 	assign   []lbool     // per var (1-based)
@@ -129,11 +132,10 @@ type Solver struct {
 
 	seen     []bool // analyze scratch, per var
 	addTmp   []Lit  // AddClause scratch
+	learnt   []Lit  // analyze: the learned clause under construction
 	lbdMark  []int  // per-level stamp for LBD computation
 	lbdGen   int    // current lbdMark generation
 	redTmp   []cref // reduceDB candidate scratch
-	remap    []cref // reduceDB compaction scratch
-	lockTmp  []bool // reduceDB locked-clause scratch
 	minKeep  []Lit  // analyze: pre-minimization clause copy
 	minClear []Lit  // analyze: temporary seen marks from litRedundant
 	anStack  []Lit  // litRedundant DFS stack
@@ -234,8 +236,8 @@ func (s *Solver) FixedValue(l Lit) (value, fixed bool) {
 }
 
 func (s *Solver) litsOf(c cref) []Lit {
-	m := &s.cls[c]
-	return s.clLits[m.off : m.off+m.n]
+	i := int(c) + 2
+	return s.clLits[i : i+int(s.clLits[c])]
 }
 
 // AddClause adds a clause; it returns false if the formula became
@@ -320,9 +322,11 @@ func (s *Solver) AddClausesFlat(lits []Lit, ends []int32) bool {
 	for _, end := range ends {
 		cl := lits[start:end]
 		start = end
-		// Strip root-false literals; drop root-satisfied clauses (after
-		// cancelUntil(0) above, every assignment is a root assignment).
-		base := int32(len(s.clLits))
+		// Append a header and the literals, stripping root-false
+		// literals; drop root-satisfied clauses (after cancelUntil(0)
+		// above, every assignment is a root assignment).
+		base := len(s.clLits)
+		s.clLits = append(s.clLits, 0, 0)
 		satisfied := false
 		for _, l := range cl {
 			switch s.value(l) {
@@ -341,14 +345,14 @@ func (s *Solver) AddClausesFlat(lits []Lit, ends []int32) bool {
 			s.clLits = s.clLits[:base]
 			continue
 		}
-		n := int32(len(s.clLits)) - base
+		n := len(s.clLits) - base - 2
 		switch n {
 		case 0:
 			s.clLits = s.clLits[:base]
 			s.unsat = true
 			return false
 		case 1:
-			l := s.clLits[base]
+			l := s.clLits[base+2]
 			s.clLits = s.clLits[:base]
 			if s.value(l) == lFalse {
 				s.unsat = true
@@ -364,23 +368,24 @@ func (s *Solver) AddClausesFlat(lits []Lit, ends []int32) bool {
 				}
 			}
 		default:
-			c := cref(len(s.cls))
-			s.cls = append(s.cls, clauseMeta{off: base, n: n})
-			s.watch(c)
+			s.clLits[base] = Lit(n)
+			s.watch(cref(base))
 		}
 	}
 	return true
 }
 
-// addClauseLits copies lits into the arena and installs the watches.
+// addClauseLits copies lits into the arena behind a header and
+// installs the watches.
 func (s *Solver) addClauseLits(lits []Lit, learned bool, lbd int) cref {
-	c := cref(len(s.cls))
-	off := int32(len(s.clLits))
-	s.clLits = append(s.clLits, lits...)
-	s.cls = append(s.cls, clauseMeta{off: off, n: int32(len(lits)), learned: learned, lbd: int32(lbd)})
+	c := cref(len(s.clLits))
+	flags := Lit(lbd) << hdrLBDShift
 	if learned {
+		flags |= hdrLearned
 		s.nLearned++
 	}
+	s.clLits = append(s.clLits, Lit(len(lits)), flags)
+	s.clLits = append(s.clLits, lits...)
 	s.watch(c)
 	return c
 }
@@ -551,6 +556,12 @@ func (s *Solver) bumpVar(v int) {
 			s.activity[i] *= 1e-100
 		}
 		s.varInc *= 1e-100
+		// The scaling can underflow small activities into ties (0 or a
+		// shared denormal), which heapLess orders by index: restore the
+		// heap order so decide keeps returning the maximum.
+		for i := (len(s.heap) - 2) / 2; i >= 0; i-- {
+			s.heapDown(i)
+		}
 	}
 	if s.hpos[v] >= 0 {
 		s.heapUp(int(s.hpos[v]))
@@ -561,15 +572,16 @@ func (s *Solver) bumpVar(v int) {
 // and its LBD (number of distinct decision levels).
 func (s *Solver) analyze(confl cref) ([]Lit, int, int) {
 	seen := s.seen
-	var learnt []Lit
+	// Slot 0 is kept for the asserting literal, known only at the end.
+	learnt := append(s.learnt[:0], 0)
 	counter := 0
 	var p Lit = -1
 	idx := len(s.trail) - 1
 	cur := confl
 	for {
-		if m := &s.cls[cur]; m.learned {
+		if s.clLits[cur+1]&hdrLearned != 0 {
 			// Antecedent use protects the clause at the next reduction.
-			m.used = true
+			s.clLits[cur+1] |= hdrUsed
 		}
 		for _, q := range s.litsOf(cur) {
 			if p != -1 && q == p {
@@ -599,7 +611,8 @@ func (s *Solver) analyze(confl cref) ([]Lit, int, int) {
 		}
 		cur = s.reason[p.Var()]
 	}
-	learnt = append([]Lit{p.Neg()}, learnt...)
+	learnt[0] = p.Neg()
+	s.learnt = learnt
 	// Conflict-clause minimization (recursive, MiniSat-style): drop any
 	// literal whose reason chain is already implied by the rest of the
 	// clause. The seen marks from the collection loop above double as
@@ -732,86 +745,71 @@ func (s *Solver) reduceDB() {
 	if s.nLearned <= minLearnedKeep {
 		return
 	}
+	a := s.clLits
 	// Locked clauses: reasons of current (root) assignments.
-	if cap(s.lockTmp) < len(s.cls) {
-		s.lockTmp = make([]bool, len(s.cls))
-	}
-	locked := s.lockTmp[:len(s.cls)]
-	for i := range locked {
-		locked[i] = false
-	}
-	for _, l := range s.trail {
-		if r := s.reason[l.Var()]; r != crefUndef {
-			locked[r] = true
-		}
-	}
-	// Candidate learned clauses, by (LBD, size) descending badness.
-	// Clauses used as antecedents since the last reduction are spared
-	// this round (and their protection cleared for the next one).
+	s.markReasons(true)
+	// Candidate learned clauses, in arena order, by (LBD, size)
+	// descending badness. Clauses used as antecedents since the last
+	// reduction are spared this round (and their protection cleared for
+	// the next one).
 	cand := s.redTmp[:0]
-	for c := range s.cls {
-		m := &s.cls[c]
-		if !m.learned {
+	for c := 0; c < len(a); c += 2 + int(a[c]) {
+		h := a[c+1]
+		if h&hdrLearned == 0 {
 			continue
 		}
-		if m.used {
-			m.used = false
+		if h&hdrUsed != 0 {
+			a[c+1] = h &^ hdrUsed
 			continue
 		}
-		if !locked[c] && m.lbd > lbdGlue {
+		if h&hdrLocked == 0 && h>>hdrLBDShift > lbdGlue {
 			cand = append(cand, cref(c))
 		}
 	}
 	s.redTmp = cand
 	// Partial selection: delete the worse half. Simple insertion-free
 	// approach: sort by badness descending.
-	sortCrefsByBadness(cand, s.cls)
+	sortCrefsByBadness(cand, a)
 	del := len(cand) / 2
 	if del == 0 {
+		s.markReasons(false)
 		return
 	}
-	if cap(s.remap) < len(s.cls) {
-		s.remap = make([]cref, len(s.cls))
-	}
-	remap := s.remap[:len(s.cls)]
-	for i := range remap {
-		remap[i] = crefUndef
-	}
 	for _, c := range cand[:del] {
-		remap[c] = -2 // marked for deletion
+		a[c+1] |= hdrDeleted
 	}
-	// Compact arena and headers in place.
-	wLit := int32(0)
-	wCls := 0
-	for c := range s.cls {
-		if remap[c] == -2 {
-			continue
+	// Compact the arena in place. A locked clause is the reason of
+	// exactly one of its variables; point that reason at its new place.
+	w := 0
+	for c := 0; c < len(a); {
+		size := 2 + int(a[c])
+		h := a[c+1]
+		if h&hdrDeleted == 0 {
+			if h&hdrLocked != 0 {
+				for _, l := range a[c+2 : c+size] {
+					if s.reason[l.Var()] == cref(c) {
+						s.reason[l.Var()] = cref(w)
+						break
+					}
+				}
+			}
+			copy(a[w:], a[c:c+size])
+			a[w+1] = h &^ hdrLocked
+			w += size
 		}
-		m := s.cls[c]
-		copy(s.clLits[wLit:wLit+m.n], s.clLits[m.off:m.off+m.n])
-		m.off = wLit
-		wLit += m.n
-		s.cls[wCls] = m
-		remap[c] = cref(wCls)
-		wCls++
+		c += size
 	}
-	s.clLits = s.clLits[:wLit]
-	s.cls = s.cls[:wCls]
+	a = a[:w]
+	s.clLits = a
 	s.Deleted += del
 	s.nLearned -= del
 	s.Reductions++
-	// Remap reasons of the root assignment.
-	for _, l := range s.trail {
-		if r := s.reason[l.Var()]; r != crefUndef {
-			s.reason[l.Var()] = remap[r]
-		}
-	}
 	// Rebuild watch lists: pick two non-root-false literals per clause
 	// so the watch invariant holds under the current root assignment.
 	for i := range s.watches {
 		s.watches[i] = s.watches[i][:0]
 	}
-	for c := range s.cls {
+	for c := 0; c < len(a); c += 2 + int(a[c]) {
 		lits := s.litsOf(cref(c))
 		w := 0
 		for i := 0; i < len(lits) && w < 2; i++ {
@@ -828,16 +826,30 @@ func (s *Solver) reduceDB() {
 	}
 }
 
+// markReasons sets (on) or clears the locked mark in the header of
+// every clause that is the reason of a trail assignment.
+func (s *Solver) markReasons(on bool) {
+	for _, l := range s.trail {
+		if r := s.reason[l.Var()]; r != crefUndef {
+			if on {
+				s.clLits[r+1] |= hdrLocked
+			} else {
+				s.clLits[r+1] &^= hdrLocked
+			}
+		}
+	}
+}
+
 // sortCrefsByBadness orders candidates worst-first: higher LBD first,
 // longer clause first among equals, so the deletion pass can drop a
 // prefix.
-func sortCrefsByBadness(cand []cref, cls []clauseMeta) {
+func sortCrefsByBadness(cand []cref, a []Lit) {
 	sort.Slice(cand, func(i, j int) bool {
-		ma, mb := &cls[cand[i]], &cls[cand[j]]
-		if ma.lbd != mb.lbd {
-			return ma.lbd > mb.lbd
+		ca, cb := cand[i], cand[j]
+		if la, lb := a[ca+1]>>hdrLBDShift, a[cb+1]>>hdrLBDShift; la != lb {
+			return la > lb
 		}
-		return ma.n > mb.n
+		return a[ca] > a[cb]
 	})
 }
 
@@ -948,10 +960,13 @@ func (s *Solver) SolveBudgeted(maxConflicts int, assumps ...Lit) (result, decide
 			break
 		}
 		if l == -1 {
-			l = s.decide()
-			if l == -1 {
-				return true, true // all assigned
+			// Every unassigned variable is in the heap, so a full trail is
+			// the one case in which decide would find none: return the
+			// model before decide drains the heap of assigned entries.
+			if len(s.trail) == s.nVars {
+				return true, true
 			}
+			l = s.decide()
 			s.Decisions++
 		}
 		s.trailLim = append(s.trailLim, len(s.trail))

@@ -78,6 +78,45 @@ func TestIncremental(t *testing.T) {
 	}
 }
 
+// TestDecideOrderAfterRescale checks that decide returns the
+// unassigned variable of highest activity (lowest index among equals)
+// after activity rescales have underflowed small activities into ties.
+func TestDecideOrderAfterRescale(t *testing.T) {
+	const nv = 40
+	s := NewSolver()
+	s.NewVars(nv)
+	s.bumpVar(nv)
+	for i := 0; i < 4; i++ {
+		s.varInc = 2e100 // each bump passes 1e100 and rescales
+		s.bumpVar(2)
+	}
+	if s.activity[nv] != 0 {
+		t.Fatalf("activity of var %d is %g, want 0 after four rescales", nv, s.activity[nv])
+	}
+	var order []int
+	for {
+		best := 0
+		for v := 1; v <= nv; v++ {
+			if s.assign[v] == lUndef && (best == 0 || s.activity[v] > s.activity[best]) {
+				best = v
+			}
+		}
+		l := s.decide()
+		if l == -1 {
+			if best != 0 {
+				t.Fatalf("decide found no variable, but var %d is unassigned", best)
+			}
+			return
+		}
+		order = append(order, l.Var())
+		if l.Var() != best {
+			t.Fatalf("decide order %v, want var %d last", order, best)
+		}
+		s.trailLim = append(s.trailLim, len(s.trail))
+		s.uncheckedEnqueue(l, crefUndef)
+	}
+}
+
 // TestQuickRandom3SAT cross-checks the solver against brute force on
 // small random formulas.
 func TestQuickRandom3SAT(t *testing.T) {
