@@ -46,7 +46,7 @@ func fingerprintLUTNetwork(ln *LUTNetwork) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-func benchNetlist(t *testing.T, b bench.Benchmark) *netlist.Netlist {
+func benchNetlist(t testing.TB, b bench.Benchmark) *netlist.Netlist {
 	t.Helper()
 	ast, err := verilog.Parse(b.Source())
 	if err != nil {
@@ -85,6 +85,45 @@ func TestGoldenK4Mapping(t *testing.T) {
 			}
 			if fingerprintLUTNetwork(ln4) != got {
 				t.Error("MapK(n, 4) differs from Map(n)")
+			}
+		})
+	}
+}
+
+// goldenMapK pins MapK at the other LUT sizes on every benchmark
+// (index K; the K=4 entry is goldenK4): K=2 lowers Mux gates first,
+// and K=5 and K=6 fill the wider cut arrays. The fingerprints were
+// captured from the mapper that enumerated cuts without leaf
+// signatures or reused scratch; the faster enumeration must keep them.
+var goldenMapK = map[string][MaxK + 1]string{
+	"des3":    {2: "58f89841d4a083ca", 3: "26905de40e399aa3", 5: "1168df00c62e5124", 6: "4f2cd5c3982180c5"},
+	"fir":     {2: "cc7556ab9796fb1b", 3: "cbf08daf99cc3a3f", 5: "7ca600179119414d", 6: "6fca11435816b11a"},
+	"iir":     {2: "23e42424c08d0328", 3: "e292f85d03ee7775", 5: "6299e14a170bfa49", 6: "6d825da2c44b3543"},
+	"sha256":  {2: "90abc0fcb6dac637", 3: "6823e0b4a3f0541c", 5: "12e39f0c285c9cd5", 6: "5cc4b949e8ae9fdf"},
+	"sasc":    {2: "bc8b5443ef5029b9", 3: "4a368cb6ee255577", 5: "e902009345d3fa18", 6: "4556c643e343f49f"},
+	"usb_phy": {2: "366c73796772436a", 3: "5c9c48787f3843ac", 5: "d8859f937eeda409", 6: "6bbb42fb6c6b21ed"},
+	"gcd":     {2: "625fa1e1e76f67f4", 3: "5d0385538ff0e6ba", 5: "7362792f4735d347", 6: "f37e853ccea58c36"},
+}
+
+// TestGoldenMapKAllK gates the mapping of every benchmark at every
+// supported K against its pinned fingerprint.
+func TestGoldenMapKAllK(t *testing.T) {
+	for _, b := range bench.All() {
+		b := b
+		t.Run(b.Name, func(t *testing.T) {
+			n := benchNetlist(t, b)
+			for k := MinK; k <= MaxK; k++ {
+				want := goldenMapK[b.Name][k]
+				if k == DefaultK {
+					want = goldenK4[b.Name]
+				}
+				ln, err := MapK(n, k)
+				if err != nil {
+					t.Fatalf("K=%d: %v", k, err)
+				}
+				if got := fingerprintLUTNetwork(ln); got != want {
+					t.Errorf("K=%d mapping fingerprint = %s, golden %s", k, got, want)
+				}
 			}
 		})
 	}
