@@ -129,14 +129,21 @@ func bleInputs(ln *techmap.LUTNetwork, b BLE) []int32 {
 
 // clusterBLEs groups BLEs into CLBs greedily by attraction (number of
 // shared nets), respecting the cluster size and external-input bounds.
+// Seeds go in order of descending input count; each free slot takes
+// the feasible BLE with the highest gain, the earliest in that order
+// among equals.
 //
-// This is the profiled hot loop of fast-mode characterization, so the
-// per-candidate work is O(candidate fan-in) over generation-stamped
-// flat arrays: the growing cluster's input/output sets and its external
-// -input count are maintained incrementally instead of being rebuilt
-// (with map allocations) for every candidate trial. The greedy choices
-// and the resulting CLBs are identical to the straightforward
-// formulation.
+// Only BLEs that share a node with the growing cluster can score above
+// zero: a BLE gains when it reads a node some member reads, reads a
+// member's output, or produces a node some member reads. So when a BLE
+// joins, the readers of its inputs and of its output and the producers
+// of its inputs become touched, and only touched BLEs are scored. When
+// no touched BLE fits, every feasible BLE scores zero and the slot
+// takes the first one in seed order. The cluster's input/output sets
+// and external-input count live in generation-stamped flat arrays and
+// are updated incrementally, so scoring a candidate costs its fan-in.
+// The CLBs equal those of scoring every unplaced BLE for every slot
+// (clusterBLEsReference in the tests).
 func clusterBLEs(ln *techmap.LUTNetwork, bles []BLE, arch fabric.Arch) ([]CLB, error) {
 	n := len(bles)
 	placed := make([]bool, n)
@@ -178,6 +185,38 @@ func clusterBLEs(ln *techmap.LUTNetwork, bles []BLE, arch fabric.Arch) ([]CLB, e
 	sort.SliceStable(order, func(a, b int) bool {
 		return len(rawIns[order[a]]) > len(rawIns[order[b]])
 	})
+	rank := make([]int, n)
+	for r, b := range order {
+		rank[b] = r
+	}
+
+	// readers[start[x]:start[x+1]] are the BLEs that read node x (a BLE
+	// that reads x twice appears twice); producer[x] is the BLE that
+	// outputs x, or -1.
+	start := make([]int32, len(ln.Nodes)+1)
+	for _, ins := range rawIns {
+		for _, in := range ins {
+			start[in+1]++
+		}
+	}
+	for x := range ln.Nodes {
+		start[x+1] += start[x]
+	}
+	readers := make([]int32, start[len(ln.Nodes)])
+	fill := append([]int32(nil), start[:len(ln.Nodes)]...)
+	for b, ins := range rawIns {
+		for _, in := range ins {
+			readers[fill[in]] = int32(b)
+			fill[in]++
+		}
+	}
+	producer := make([]int32, len(ln.Nodes))
+	for x := range producer {
+		producer[x] = -1
+	}
+	for b := range bles {
+		producer[bles[b].Out()] = int32(b)
+	}
 
 	// Generation-stamped member sets: inMark marks nodes read by some
 	// member (including constants, matching the gain score), outMark
@@ -259,32 +298,70 @@ func clusterBLEs(ln *techmap.LUTNetwork, bles []BLE, arch fabric.Arch) ([]CLB, e
 		return ext
 	}
 
+	// touched lists the BLEs that shared a node with the current cluster
+	// while unplaced (the ones that since joined are skipped);
+	// touchMark[b] == gen marks them.
+	touchMark := make([]uint32, n)
+	var touched []int32
+	touchOne := func(b int32) {
+		if b >= 0 && !placed[b] && touchMark[b] != gen {
+			touchMark[b] = gen
+			touched = append(touched, b)
+		}
+	}
+	// touch adds the BLEs whose gain may turn positive once b joins.
+	touch := func(b int) {
+		for _, in := range rawIns[b] {
+			for _, r := range readers[start[in]:start[in+1]] {
+				touchOne(r)
+			}
+			touchOne(producer[in])
+		}
+		out := bles[b].Out()
+		for _, r := range readers[start[out]:start[out+1]] {
+			touchOne(r)
+		}
+	}
+
 	var clbs []CLB
 	members := make([]int, 0, arch.BLEsPerCLB)
+	next := 0 // order[:next] are all placed
 	for _, seed := range order {
 		if placed[seed] {
 			continue
 		}
 		gen++
 		extNow = 0
+		touched = touched[:0]
 		members = append(members[:0], seed)
 		placed[seed] = true
 		join(seed)
+		touch(seed)
 		if extNow > arch.CLBInputs {
 			return nil, fmt.Errorf("pack: %s: a single BLE needs %d inputs, CLB offers %d",
 				ln.Name, extNow, arch.CLBInputs)
 		}
 		for len(members) < arch.BLEsPerCLB {
-			best, bestGain := -1, -1
-			for _, cand := range order {
-				if placed[cand] {
+			best, bestGain := -1, 0
+			for _, c := range touched {
+				cand := int(c)
+				if placed[cand] || trialExt(cand) > arch.CLBInputs {
 					continue
 				}
-				if trialExt(cand) > arch.CLBInputs {
-					continue
-				}
-				if gain := gainOf(cand); gain > bestGain {
+				if gain := gainOf(cand); best == -1 || gain > bestGain || gain == bestGain && rank[cand] < rank[best] {
 					bestGain, best = gain, cand
+				}
+			}
+			if best == -1 {
+				// Every feasible BLE scores zero: take the first.
+				for next < n && placed[order[next]] {
+					next++
+				}
+				for _, cand := range order[next:] {
+					if !placed[cand] && trialExt(cand) <= arch.CLBInputs {
+						best = cand
+						break
+					}
 				}
 			}
 			if best == -1 {
@@ -293,6 +370,7 @@ func clusterBLEs(ln *techmap.LUTNetwork, bles []BLE, arch fabric.Arch) ([]CLB, e
 			members = append(members, best)
 			placed[best] = true
 			join(best)
+			touch(best)
 		}
 		clb := CLB{}
 		for _, m := range members {

@@ -11,8 +11,9 @@
 package techmap
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"alice/internal/netlist"
 )
@@ -114,12 +115,8 @@ func (ln *LUTNetwork) Depth() int {
 		}
 		d := 0
 		for _, in := range n.In {
-			if ln.Nodes[in].Kind == LLUT && depth[in] >= d {
+			if ln.Nodes[in].Kind == LLUT && depth[in] > d {
 				d = depth[in]
-			} else if ln.Nodes[in].Kind == LLUT {
-				if depth[in] > d {
-					d = depth[in]
-				}
 			}
 		}
 		depth[i] = d + 1
@@ -143,7 +140,7 @@ func (ln *LUTNetwork) Validate() error {
 				if in < 0 || int(in) >= len(ln.Nodes) {
 					return fmt.Errorf("techmap: %s: LUT %d input out of range", ln.Name, i)
 				}
-				if n.Kind != LFF && int(in) >= i && ln.Nodes[in].Kind != LFF && ln.Nodes[in].Kind != LInput {
+				if int(in) >= i && ln.Nodes[in].Kind != LFF && ln.Nodes[in].Kind != LInput {
 					return fmt.Errorf("techmap: %s: LUT %d not topological", ln.Name, i)
 				}
 			}
@@ -166,37 +163,40 @@ func (ln *LUTNetwork) Validate() error {
 
 // cut is a set of at most K leaves, sorted ascending. The array is
 // sized for MaxK; size and the mapper's runtime k bound the live
-// prefix.
+// prefix. sig has bit leaf&63 set for each leaf, so a cut whose
+// signature has a bit another's lacks is not a subset of it.
 type cut struct {
 	leaves [MaxK]int32
+	sig    uint64
 	size   int8
 }
 
-func (c cut) contains(x int32) bool {
-	for i := int8(0); i < c.size; i++ {
-		if c.leaves[i] == x {
-			return true
-		}
-	}
-	return false
+// trivialCut is the single-leaf cut {id}.
+func trivialCut(id int32) cut {
+	return cut{leaves: [MaxK]int32{id}, sig: 1 << (uint32(id) & 63), size: 1}
 }
 
 // dominates reports whether c's leaves are a subset of d's.
-func (c cut) dominates(d cut) bool {
-	if c.size > d.size {
+func (c *cut) dominates(d *cut) bool {
+	if c.size > d.size || c.sig&^d.sig != 0 {
 		return false
 	}
+	j := int8(0)
 	for i := int8(0); i < c.size; i++ {
-		if !d.contains(c.leaves[i]) {
+		for j < d.size && d.leaves[j] < c.leaves[i] {
+			j++
+		}
+		if j == d.size || d.leaves[j] != c.leaves[i] {
 			return false
 		}
+		j++
 	}
 	return true
 }
 
 // mergeCuts unions two cuts; ok is false if the union exceeds k leaves.
-func mergeCuts(a, b cut, k int8) (cut, bool) {
-	var out cut
+func mergeCuts(a, b *cut, k int8) (cut, bool) {
+	out := cut{sig: a.sig | b.sig}
 	i, j := int8(0), int8(0)
 	for i < a.size || j < b.size {
 		var v int32
@@ -311,18 +311,37 @@ func lowerMux(n *netlist.Netlist) (*netlist.Netlist, error) {
 }
 
 type nodeInfo struct {
-	cuts    []cut
-	best    cut
-	depth   int32
-	area    float32
-	mapped  bool // leaf (PI/DFF/const) or chosen LUT root
-	visited bool
+	cuts  []cut
+	best  cut
+	depth int32
+	area  float32
+}
+
+// scoredCut ranks cut i of the mapper's cuts scratch.
+type scoredCut struct {
+	i     int32
+	depth int32
+	area  float32
+	size  int8
 }
 
 type mapper struct {
 	n    *netlist.Netlist
 	k    int8
 	info []nodeInfo
+
+	// Scratch that enumerateCuts reuses from node to node.
+	candidates []cut
+	cuts       []cut
+	scored     []scoredCut
+
+	// truthTable's memo: memo[x] holds node x's table while
+	// stamp[x] == gen. bad is the first cone node eval could not
+	// evaluate, or -1.
+	memo  []uint64
+	stamp []uint32
+	gen   uint32
+	bad   int32
 }
 
 func (m *mapper) isLeaf(id int32) bool {
@@ -333,6 +352,8 @@ func (m *mapper) isLeaf(id int32) bool {
 func (m *mapper) run() (*LUTNetwork, error) {
 	n := m.n
 	m.info = make([]nodeInfo, len(n.Nodes))
+	m.memo = make([]uint64, len(n.Nodes))
+	m.stamp = make([]uint32, len(n.Nodes))
 
 	// Forward pass: enumerate priority cuts per combinational node.
 	for i := range n.Nodes {
@@ -340,7 +361,7 @@ func (m *mapper) run() (*LUTNetwork, error) {
 		nd := n.Nodes[i]
 		inf := &m.info[i]
 		if m.isLeaf(id) {
-			inf.cuts = []cut{{leaves: [MaxK]int32{id}, size: 1}}
+			inf.cuts = []cut{trivialCut(id)}
 			inf.depth = 0
 			continue
 		}
@@ -353,9 +374,11 @@ func (m *mapper) run() (*LUTNetwork, error) {
 	// Backward pass: choose cover from POs and DFF D-inputs.
 	required := make([]bool, len(n.Nodes))
 	var queue []int32
+	nLUTs := 0
 	addRoot := func(id int32) {
 		if !m.isLeaf(id) && !required[id] {
 			required[id] = true
+			nLUTs++
 			queue = append(queue, id)
 		}
 	}
@@ -368,7 +391,7 @@ func (m *mapper) run() (*LUTNetwork, error) {
 	for len(queue) > 0 {
 		id := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		best := m.info[id].best
+		best := &m.info[id].best
 		for i := int8(0); i < best.size; i++ {
 			addRoot(best.leaves[i])
 		}
@@ -376,6 +399,7 @@ func (m *mapper) run() (*LUTNetwork, error) {
 
 	// Emit the LUT network in topological order.
 	out := &LUTNetwork{Name: n.Name, K: int(m.k)}
+	out.Nodes = make([]LNode, 0, 2+len(n.PIs)+len(n.DFFs)+nLUTs)
 	emit := func(k LKind, mask uint64, ins []int32) int32 {
 		id := int32(len(out.Nodes))
 		out.Nodes = append(out.Nodes, LNode{Kind: k, Mask: mask, In: ins})
@@ -405,14 +429,13 @@ func (m *mapper) run() (*LUTNetwork, error) {
 		if !required[id] || nmap[id] != -1 {
 			continue
 		}
-		best := m.info[id].best
-		var ins []int32
-		for k := int8(0); k < best.size; k++ {
-			leaf := best.leaves[k]
+		best := &m.info[id].best
+		ins := make([]int32, best.size)
+		for k, leaf := range best.leaves[:best.size] {
 			if nmap[leaf] == -1 {
 				return nil, fmt.Errorf("techmap: %s: leaf %d of node %d not yet mapped", n.Name, leaf, id)
 			}
-			ins = append(ins, nmap[leaf])
+			ins[k] = nmap[leaf]
 		}
 		mask, err := m.truthTable(id, best)
 		if err != nil {
@@ -436,98 +459,104 @@ func (m *mapper) run() (*LUTNetwork, error) {
 }
 
 // enumerateCuts computes the priority cut set and the best cut of a
-// combinational node.
+// combinational node. It builds candidates, filters and ranks them in
+// the mapper's scratch; only the kept cuts are allocated, as one
+// exact-size slice with the trivial cut last.
 func (m *mapper) enumerateCuts(id int32) {
 	nd := m.n.Nodes[id]
 	inf := &m.info[id]
-	var candidates []cut
+	cands := m.candidates[:0]
 	switch nd.Op.Arity() {
 	case 1:
-		for _, c := range m.info[nd.In[0]].cuts {
-			candidates = append(candidates, c)
-		}
+		cands = append(cands, m.info[nd.In[0]].cuts...)
 	case 2:
-		for _, ca := range m.info[nd.In[0]].cuts {
-			for _, cb := range m.info[nd.In[1]].cuts {
-				if c, ok := mergeCuts(ca, cb, m.k); ok {
-					candidates = append(candidates, c)
+		as, bs := m.info[nd.In[0]].cuts, m.info[nd.In[1]].cuts
+		for i := range as {
+			for j := range bs {
+				if c, ok := mergeCuts(&as[i], &bs[j], m.k); ok {
+					cands = append(cands, c)
 				}
 			}
 		}
 	case 3:
-		for _, ca := range m.info[nd.In[0]].cuts {
-			for _, cb := range m.info[nd.In[1]].cuts {
-				ab, ok := mergeCuts(ca, cb, m.k)
+		as, bs, cs := m.info[nd.In[0]].cuts, m.info[nd.In[1]].cuts, m.info[nd.In[2]].cuts
+		for i := range as {
+			for j := range bs {
+				ab, ok := mergeCuts(&as[i], &bs[j], m.k)
 				if !ok {
 					continue
 				}
-				for _, cc := range m.info[nd.In[2]].cuts {
-					if c, ok := mergeCuts(ab, cc, m.k); ok {
-						candidates = append(candidates, c)
+				for l := range cs {
+					if c, ok := mergeCuts(&ab, &cs[l], m.k); ok {
+						cands = append(cands, c)
 					}
 				}
 			}
 		}
 	}
+	m.candidates = cands
 	// Deduplicate and drop dominated cuts.
-	var cuts []cut
-	for _, c := range candidates {
+	cuts := m.cuts[:0]
+	for i := range cands {
+		c := &cands[i]
 		dominated := false
-		for _, d := range cuts {
-			if d.dominates(c) {
+		for j := range cuts {
+			if cuts[j].dominates(c) {
 				dominated = true
 				break
 			}
 		}
 		if !dominated {
 			// Remove cuts dominated by c.
-			kept := cuts[:0]
-			for _, d := range cuts {
-				if !c.dominates(d) {
-					kept = append(kept, d)
+			kept := 0
+			for j := range cuts {
+				if !c.dominates(&cuts[j]) {
+					cuts[kept] = cuts[j]
+					kept++
 				}
 			}
-			cuts = append(kept, c)
+			cuts = append(cuts[:kept], *c)
 		}
 	}
+	m.cuts = cuts
 	// Rank by (depth, area flow, size) and keep the best few.
-	type scored struct {
-		c     cut
-		depth int32
-		area  float32
-	}
-	var sc []scored
-	for _, c := range cuts {
+	sc := m.scored[:0]
+	for i := range cuts {
+		c := &cuts[i]
 		var depth int32
 		var area float32 = 1
-		for i := int8(0); i < c.size; i++ {
-			li := &m.info[c.leaves[i]]
+		for _, leaf := range c.leaves[:c.size] {
+			li := &m.info[leaf]
 			if li.depth+1 > depth {
 				depth = li.depth + 1
 			}
 			area += li.area / 2 // crude fanout-sharing estimate
 		}
-		sc = append(sc, scored{c, depth, area})
+		sc = append(sc, scoredCut{int32(i), depth, area, c.size})
 	}
-	sort.Slice(sc, func(i, j int) bool {
-		if sc[i].depth != sc[j].depth {
-			return sc[i].depth < sc[j].depth
+	slices.SortFunc(sc, func(a, b scoredCut) int {
+		if a.depth != b.depth {
+			return cmp.Compare(a.depth, b.depth)
 		}
-		if sc[i].area != sc[j].area {
-			return sc[i].area < sc[j].area
+		if a.area != b.area {
+			if a.area < b.area {
+				return -1
+			}
+			return 1
 		}
-		return sc[i].c.size < sc[j].c.size
+		return cmp.Compare(a.size, b.size)
 	})
+	m.scored = sc
 	if len(sc) > maxCutsPerNode {
 		sc = sc[:maxCutsPerNode]
 	}
-	inf.cuts = inf.cuts[:0]
-	for _, s := range sc {
-		inf.cuts = append(inf.cuts, s.c)
+	inf.cuts = make([]cut, len(sc)+1)
+	for i, s := range sc {
+		inf.cuts[i] = cuts[s.i]
 	}
 	// Trivial cut keeps deeper nodes mergeable upward.
-	inf.cuts = append(inf.cuts, cut{leaves: [MaxK]int32{id}, size: 1})
-	inf.best = sc[0].c
+	inf.cuts[len(sc)] = trivialCut(id)
+	inf.best = inf.cuts[0]
 	inf.depth = sc[0].depth
 	inf.area = sc[0].area
 }
@@ -549,48 +578,15 @@ var leafPats = [MaxK]uint64{
 // the cut should have listed as a leaf) is a mapper invariant
 // violation reported as a typed error, not a panic: it reaches this
 // code through MapK, whose callers expect errors for bad inputs.
-func (m *mapper) truthTable(id int32, c cut) (uint64, error) {
-	memo := make(map[int32]uint64)
-	for i := int8(0); i < c.size; i++ {
-		memo[c.leaves[i]] = leafPats[i]
+func (m *mapper) truthTable(id int32, c *cut) (uint64, error) {
+	m.gen++
+	for i, leaf := range c.leaves[:c.size] {
+		m.memo[leaf], m.stamp[leaf] = leafPats[i], m.gen
 	}
-	var evalErr error
-	var eval func(x int32) uint64
-	eval = func(x int32) uint64 {
-		if v, ok := memo[x]; ok {
-			return v
-		}
-		if evalErr != nil {
-			return 0
-		}
-		nd := m.n.Nodes[x]
-		var v uint64
-		switch nd.Op {
-		case netlist.Const0:
-			v = 0
-		case netlist.Const1:
-			v = ^uint64(0)
-		case netlist.Not:
-			v = ^eval(nd.In[0])
-		case netlist.And:
-			v = eval(nd.In[0]) & eval(nd.In[1])
-		case netlist.Or:
-			v = eval(nd.In[0]) | eval(nd.In[1])
-		case netlist.Xor:
-			v = eval(nd.In[0]) ^ eval(nd.In[1])
-		case netlist.Mux:
-			s := eval(nd.In[0])
-			v = (^s & eval(nd.In[1])) | (s & eval(nd.In[2]))
-		default:
-			evalErr = fmt.Errorf("techmap: node %d cone: leaf %d (%s) not in cut", id, x, nd.Op)
-			return 0
-		}
-		memo[x] = v
-		return v
-	}
-	full := eval(id)
-	if evalErr != nil {
-		return 0, evalErr
+	m.bad = -1
+	full := m.eval(id)
+	if m.bad >= 0 {
+		return 0, fmt.Errorf("techmap: node %d cone: leaf %d (%s) not in cut", id, m.bad, m.n.Nodes[m.bad].Op)
 	}
 	// Truncate to the cut's actual arity.
 	bits := 1 << uint(c.size)
@@ -598,4 +594,39 @@ func (m *mapper) truthTable(id int32, c cut) (uint64, error) {
 		return full, nil
 	}
 	return full & ((uint64(1) << uint(bits)) - 1), nil
+}
+
+// eval returns the truth table of cone node x for truthTable, memoized
+// for the current generation.
+func (m *mapper) eval(x int32) uint64 {
+	if m.stamp[x] == m.gen {
+		return m.memo[x]
+	}
+	if m.bad >= 0 {
+		return 0
+	}
+	nd := &m.n.Nodes[x]
+	var v uint64
+	switch nd.Op {
+	case netlist.Const0:
+		v = 0
+	case netlist.Const1:
+		v = ^uint64(0)
+	case netlist.Not:
+		v = ^m.eval(nd.In[0])
+	case netlist.And:
+		v = m.eval(nd.In[0]) & m.eval(nd.In[1])
+	case netlist.Or:
+		v = m.eval(nd.In[0]) | m.eval(nd.In[1])
+	case netlist.Xor:
+		v = m.eval(nd.In[0]) ^ m.eval(nd.In[1])
+	case netlist.Mux:
+		s := m.eval(nd.In[0])
+		v = (^s & m.eval(nd.In[1])) | (s & m.eval(nd.In[2]))
+	default:
+		m.bad = x
+		return 0
+	}
+	m.memo[x], m.stamp[x] = v, m.gen
+	return v
 }
