@@ -302,11 +302,11 @@ func clusterBLEs(ln *techmap.LUTNetwork, bles []BLE, arch fabric.Arch) ([]CLB, e
 	// while unplaced (the ones that since joined are skipped);
 	// touchMark[b] == gen marks them.
 	touchMark := make([]uint32, n)
-	var touched []int32
+	var touched []int
 	touchOne := func(b int32) {
 		if b >= 0 && !placed[b] && touchMark[b] != gen {
 			touchMark[b] = gen
-			touched = append(touched, b)
+			touched = append(touched, int(b))
 		}
 	}
 	// touch adds the BLEs whose gain may turn positive once b joins.
@@ -343,8 +343,7 @@ func clusterBLEs(ln *techmap.LUTNetwork, bles []BLE, arch fabric.Arch) ([]CLB, e
 		}
 		for len(members) < arch.BLEsPerCLB {
 			best, bestGain := -1, 0
-			for _, c := range touched {
-				cand := int(c)
+			for _, cand := range touched {
 				if placed[cand] || trialExt(cand) > arch.CLBInputs {
 					continue
 				}
