@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"alice/internal/attack"
 	"alice/internal/opt"
@@ -85,18 +84,17 @@ func targetNetwork(name string) (*techmap.LUTNetwork, error) {
 // runAttackScaling renders the attack rows of the sweep grid, run on
 // this process.
 func runAttackScaling(w io.Writer) {
-	fmt.Fprintf(w, "%-8s %10s %8s %12s %12s\n", "target", "key bits", "DIPs", "conflicts", "time")
-	rep, err := sweepLocal(filterGrid(sweepGrid(false), "attack:"))
+	fmt.Fprintf(w, "%-8s %10s %8s %12s\n", "target", "key bits", "DIPs", "conflicts")
+	rep, err := sweepLocal(filterGrid(sweepGrid(), "attack:"))
 	check(err)
 	for _, a := range rep.Attacks {
-		wall := time.Duration(a.WallSeconds * float64(time.Second)).Round(time.Millisecond)
 		if a.BudgetExhausted {
 			// Budget exhaustion is the security result the sweep is after:
 			// the design survived the attack budget.
-			fmt.Fprintf(w, "%-8s %10d %8s %12d %12s  (survived the attack budget)\n",
-				a.Target, a.KeyBits, ">"+fmt.Sprint(a.DIPs), a.Conflicts, wall)
+			fmt.Fprintf(w, "%-8s %10d %8s %12d  (survived the attack budget)\n",
+				a.Target, a.KeyBits, ">"+fmt.Sprint(a.DIPs), a.Conflicts)
 			continue
 		}
-		fmt.Fprintf(w, "%-8s %10d %8d %12d %12s\n", a.Target, a.KeyBits, a.DIPs, a.Conflicts, wall)
+		fmt.Fprintf(w, "%-8s %10d %8d %12d\n", a.Target, a.KeyBits, a.DIPs, a.Conflicts)
 	}
 }

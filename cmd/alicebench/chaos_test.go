@@ -22,7 +22,7 @@ import (
 // merged BENCH.json must be byte-identical to a single-process run.
 func TestShardChaosKillZombieFence(t *testing.T) {
 	const ttl = 300 * time.Millisecond
-	grid := filterGrid(sweepGrid(false), "attack:")
+	grid := filterGrid(sweepGrid(), "attack:")
 	if len(grid) < 3 {
 		t.Fatalf("grid = %d units, want >= 3", len(grid))
 	}

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"math"
+	"os"
 	"strings"
 	"testing"
 )
@@ -9,150 +11,133 @@ func rep(designs []designBench, impl []implBench, attacks []attackBench) *benchR
 	return &benchReport{Designs: designs, Implement: impl, Attacks: attacks}
 }
 
-func TestCompareReportsCatchesRegression(t *testing.T) {
-	base := rep([]designBench{{Design: "gcd", Cfg: "cfg1", WallSeconds: 1}}, nil,
-		[]attackBench{{Target: "a1", WallSeconds: 1}, {Target: "a2", WallSeconds: 1}})
-	now := rep([]designBench{{Design: "gcd", Cfg: "cfg1", WallSeconds: 3}}, nil,
-		[]attackBench{{Target: "a1", WallSeconds: 1}, {Target: "a2", WallSeconds: 1}})
-	res := compareReports(base, now)
-	if res.bad != 1 {
-		t.Fatalf("bad = %d, want 1\n%s", res.bad, res.text)
+// wantOneBad fails unless comparing now against base finds exactly one
+// difference, reported on the line want.
+func wantOneBad(t *testing.T, base, now *benchReport, want string) {
+	t.Helper()
+	text, bad := compareReports(base, now)
+	if bad != 1 || !strings.Contains(text, want+"\n") {
+		t.Fatalf("bad = %d, want 1 with %q\n%s", bad, want, text)
 	}
-	if !strings.Contains(res.text, "<< REGRESSION") {
-		t.Fatalf("missing regression mark:\n%s", res.text)
+}
+
+// loadBaseline strictly decodes the committed BENCH.json.
+func loadBaseline(t *testing.T) *benchReport {
+	t.Helper()
+	data, err := os.ReadFile("../../BENCH.json")
+	if err != nil {
+		t.Fatal(err)
 	}
+	r, err := decodeReport(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+func TestCommittedBaselineMatchesSchema(t *testing.T) {
+	base := loadBaseline(t)
+	if base.SchemaVersion != benchSchemaVersion {
+		t.Fatalf("BENCH.json has schema_version %d, want %d", base.SchemaVersion, benchSchemaVersion)
+	}
+	if text, bad := compareReports(base, loadBaseline(t)); bad != 0 {
+		t.Fatalf("BENCH.json differs from itself in %d rows\n%s", bad, text)
+	}
+}
+
+// Each case changes one field of the committed baseline, or drops or
+// adds one row; the comparison must report exactly that row. The row
+// indices follow the sweep's grid order, and the reported id checks
+// that each index still points at the row the case names.
+func TestCompareReportsCatchesEveryField(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(r *benchReport)
+		want   string
+	}{
+		{"des3_cfg1_solutions", func(r *benchReport) { r.Designs[0].Solutions++ }, "CHANGED flow:des3:cfg1"},
+		{"iir_cfg1_error_cleared", func(r *benchReport) { r.Designs[2].Error = "" }, "CHANGED flow:iir:cfg1"},
+		{"inv8_seeded_dips", func(r *benchReport) { r.Structural[5].SeededDIPs = 9 }, "CHANGED structural:inv8"},
+		{"xor2_dips", func(r *benchReport) { r.Attacks[0].DIPs = 50 }, "CHANGED attack:xor2"},
+		{"sasc_fabric_cracked", func(r *benchReport) { r.FabricAttacks[4].BudgetExhausted = false }, "CHANGED fabattack:sasc:8x8"},
+		{"second_usb_phy_5x5_crit_path", func(r *benchReport) { r.Implement[3].CritPathNs *= 1.1 }, "CHANGED impl:usb_phy:5x5#2"},
+		{"gcd_4x4_place_cost", func(r *benchReport) { r.Implement[0].PlaceCost++ }, "CHANGED impl:gcd:4x4"},
+		{"row_missing", func(r *benchReport) { r.Attacks = r.Attacks[:len(r.Attacks)-1] }, "MISSING attack:inv8"},
+		{"row_new", func(r *benchReport) { r.Attacks = append(r.Attacks, attackBench{Target: "xor3", KeyBits: 8}) }, "NEW     attack:xor3"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			now := loadBaseline(t)
+			c.mutate(now)
+			wantOneBad(t, loadBaseline(t), now, c.want)
+		})
+	}
+}
+
+// A report of another schema fails even when its rows are equal.
+func TestCompareReportsSchemaMismatch(t *testing.T) {
+	wantOneBad(t, &benchReport{SchemaVersion: 5}, &benchReport{SchemaVersion: 6}, "SCHEMA  baseline 5, current 6")
 }
 
 func TestCompareReportsMissingKernel(t *testing.T) {
-	base := rep([]designBench{
-		{Design: "gcd", Cfg: "cfg1", WallSeconds: 1},
-		{Design: "iir", Cfg: "cfg1", WallSeconds: 1},
-	}, nil, nil)
-	now := rep([]designBench{{Design: "gcd", Cfg: "cfg1", WallSeconds: 1}}, nil, nil)
-	res := compareReports(base, now)
-	if res.bad != 1 || !strings.Contains(res.text, "MISSING") {
-		t.Fatalf("bad = %d, want 1 MISSING\n%s", res.bad, res.text)
-	}
+	base := rep([]designBench{{Design: "gcd", Cfg: "cfg1"}, {Design: "iir", Cfg: "cfg1"}}, nil, nil)
+	now := rep([]designBench{{Design: "gcd", Cfg: "cfg1"}}, nil, nil)
+	wantOneBad(t, base, now, "MISSING flow:iir:cfg1")
 }
 
-// A kernel added (or renamed) in the current sweep must be reported
-// explicitly instead of being silently untracked — the bug this test
-// regression-guards. The rename case shows both a MISSING and a NEW
-// row, plus the re-baseline instructions.
+// A row added or renamed in the current sweep fails the gate: a grid
+// change re-baselines in the same change. A rename shows as one
+// MISSING and one NEW row.
 func TestCompareReportsNewAndRenamedKernels(t *testing.T) {
-	base := rep([]designBench{{Design: "oldname", Cfg: "cfg1", WallSeconds: 1}}, nil, nil)
-	now := rep([]designBench{
-		{Design: "newname", Cfg: "cfg1", WallSeconds: 1},
-		{Design: "extra", Cfg: "cfg1", WallSeconds: 9},
-	}, nil, nil)
-	res := compareReports(base, now)
-	if res.new != 2 {
-		t.Fatalf("new = %d, want 2\n%s", res.new, res.text)
+	base := rep([]designBench{{Design: "oldname", Cfg: "cfg1"}}, nil, nil)
+	now := rep([]designBench{{Design: "newname", Cfg: "cfg1"}, {Design: "extra", Cfg: "cfg1", Solutions: 9}}, nil, nil)
+	text, bad := compareReports(base, now)
+	if bad != 3 {
+		t.Fatalf("bad = %d, want 3 (1 missing, 2 new)\n%s", bad, text)
 	}
-	if res.bad != 1 { // oldname missing
-		t.Fatalf("bad = %d, want 1\n%s", res.bad, res.text)
-	}
-	for _, want := range []string{"flow:newname:cfg1", "flow:extra:cfg1", "NEW (not in baseline", "re-baseline procedure"} {
-		if !strings.Contains(res.text, want) {
-			t.Fatalf("output missing %q:\n%s", want, res.text)
+	for _, want := range []string{"MISSING flow:oldname:cfg1", "NEW     flow:newname:cfg1", "NEW     flow:extra:cfg1", "re-baseline procedure"} {
+		if !strings.Contains(text, want) {
+			t.Fatalf("output missing %q:\n%s", want, text)
 		}
 	}
 }
 
-// Modeled critical-path delays are deterministic, so they are compared
-// exactly (within the tolerance) and are immune to the machine-speed
-// factor that normalizes wall times.
+// Modeled critical-path delays compare bit for bit: a change of one
+// unit in the last place fails like a 50% growth.
 func TestCompareReportsDelayRegression(t *testing.T) {
-	mk := func(ns float64, wall float64) *benchReport {
-		return rep([]designBench{
-			{Design: "gcd", Cfg: "cfg1", WallSeconds: wall, CritPathNs: ns},
-			{Design: "fir", Cfg: "cfg1", WallSeconds: wall},
-			{Design: "iir", Cfg: "cfg1", WallSeconds: wall},
-			{Design: "des3", Cfg: "cfg1", WallSeconds: wall},
-			{Design: "sasc", Cfg: "cfg1", WallSeconds: wall},
-		}, nil, nil)
+	mk := func(ns float64) *benchReport {
+		return rep([]designBench{{Design: "gcd", Cfg: "cfg1", CritPathNs: ns}, {Design: "fir", Cfg: "cfg1"}}, nil, nil)
 	}
-	// Machine 3x slower across the board: wall times forgiven by the
-	// speed factor, but a 1.5x delay growth still trips the gate.
-	res := compareReports(mk(10, 1), mk(15, 3))
-	if res.bad != 1 || !strings.Contains(res.text, "DETERMINISTIC REGRESSION") {
-		t.Fatalf("bad = %d, want 1 DETERMINISTIC REGRESSION\n%s", res.bad, res.text)
-	}
-	// Within tolerance: clean.
-	res = compareReports(mk(10, 1), mk(10.2, 3))
-	if res.bad != 0 {
-		t.Fatalf("bad = %d, want 0\n%s", res.bad, res.text)
-	}
+	wantOneBad(t, mk(10), mk(15), "CHANGED flow:gcd:cfg1")
+	wantOneBad(t, mk(10), mk(math.Nextafter(10, 11)), "CHANGED flow:gcd:cfg1")
 }
 
-func TestCompareReportsDuplicateRowsAccumulate(t *testing.T) {
-	// Two fabrics of one solution sharing a name must accumulate the
-	// same way on both sides.
-	base := rep(nil, []implBench{
-		{Design: "usb_phy", Fabric: "5x5", WallSeconds: 1, CritPathNs: 4},
-		{Design: "usb_phy", Fabric: "5x5", WallSeconds: 1, CritPathNs: 6},
-	}, nil)
-	now := rep(nil, []implBench{
-		{Design: "usb_phy", Fabric: "5x5", WallSeconds: 1, CritPathNs: 6},
-		{Design: "usb_phy", Fabric: "5x5", WallSeconds: 1, CritPathNs: 4},
-	}, nil)
-	res := compareReports(base, now)
-	if res.bad != 0 || res.new != 0 {
-		t.Fatalf("bad = %d new = %d, want 0/0\n%s", res.bad, res.new, res.text)
-	}
-}
-
-// Attack kernels are gated on both wall time (speed-normalized) and
-// the deterministic distinguishing-input count; fabric attacks from
-// the real flow are tracked the same way.
+// The distinguishing-input count of a corpus attack is a deterministic
+// engine output, checked exactly; an equal fabric-attack row passes.
 func TestCompareReportsAttackGates(t *testing.T) {
-	base := rep(nil, nil, []attackBench{
-		{Target: "mix6", DIPs: 100, WallSeconds: 1},
-	})
-	base.FabricAttacks = []fabricAttackBench{{Design: "gcd", Fabric: "4x4", DIPs: 40, WallSeconds: 0.5}}
-	now := rep(nil, nil, []attackBench{
-		{Target: "mix6", DIPs: 160, WallSeconds: 1},
-	})
-	now.FabricAttacks = []fabricAttackBench{{Design: "gcd", Fabric: "4x4", DIPs: 40, WallSeconds: 0.5}}
-	res := compareReports(base, now)
-	if res.bad != 1 || !strings.Contains(res.text, "attack-dips:mix6") {
-		t.Fatalf("bad = %d, want 1 attack-dips regression\n%s", res.bad, res.text)
+	mk := func(dips int) *benchReport {
+		r := rep(nil, nil, []attackBench{{Target: "mix6", DIPs: dips}})
+		r.FabricAttacks = []fabricAttackBench{{Design: "gcd", Fabric: "4x4", DIPs: 40}}
+		return r
 	}
-	// A fabric-attack wall-time blowup trips the regular 2x gate.
-	now2 := rep(nil, nil, []attackBench{
-		{Target: "mix6", DIPs: 100, WallSeconds: 1},
-	})
-	now2.FabricAttacks = []fabricAttackBench{{Design: "gcd", Fabric: "4x4", DIPs: 40, WallSeconds: 4}}
-	res2 := compareReports(base, now2)
-	if res2.bad != 1 || !strings.Contains(res2.text, "attack-fab:gcd:4x4") {
-		t.Fatalf("bad = %d, want 1 attack-fab regression\n%s", res2.bad, res2.text)
-	}
+	wantOneBad(t, mk(100), mk(160), "CHANGED attack:mix6")
 }
 
-// Structural rows gate two deterministic engine outputs exactly:
-// effective key bits growing (the analysis lost leak/dead coverage)
-// and seeded DIPs growing (the seeding stopped paying).
+// Structural rows are checked exactly too: effective key bits growing
+// means the analysis lost leak/dead coverage, seeded DIPs growing means
+// the seeding stopped paying.
 func TestCompareReportsStructuralGates(t *testing.T) {
 	mk := func(eff, sdips int) *benchReport {
 		r := rep(nil, nil, nil)
 		r.Structural = []structuralBench{
-			{Design: "mix6", KeyBits: 100, EffectiveKeyBits: eff, Attacked: true, DIPs: 30, SeededDIPs: sdips, WallSeconds: 0.1},
-			{Design: "gcd", Fabric: "3x3", KeyBits: 216, EffectiveKeyBits: 184, LeakedBits: 32, WallSeconds: 0.1},
+			{Design: "mix6", KeyBits: 100, EffectiveKeyBits: eff, Attacked: true, DIPs: 30, SeededDIPs: sdips},
+			{Design: "gcd", Fabric: "3x3", KeyBits: 216, EffectiveKeyBits: 184, LeakedBits: 32},
 		}
 		return r
 	}
-	res := compareReports(mk(80, 20), mk(80, 20))
-	if res.bad != 0 || res.new != 0 {
-		t.Fatalf("identical structural rows flagged: bad=%d new=%d\n%s", res.bad, res.new, res.text)
+	if text, bad := compareReports(mk(80, 20), mk(80, 20)); bad != 0 {
+		t.Fatalf("identical structural rows flagged: bad=%d\n%s", bad, text)
 	}
-	// Effective key bits jumping up means lost classification coverage.
-	res = compareReports(mk(80, 20), mk(95, 20))
-	if res.bad != 1 || !strings.Contains(res.text, "structural-effkey:mix6") {
-		t.Fatalf("bad = %d, want 1 structural-effkey regression\n%s", res.bad, res.text)
-	}
-	// Seeded DIPs jumping up means the seeding regressed.
-	res = compareReports(mk(80, 20), mk(80, 32))
-	if res.bad != 1 || !strings.Contains(res.text, "structural-sdips:mix6") {
-		t.Fatalf("bad = %d, want 1 structural-sdips regression\n%s", res.bad, res.text)
-	}
+	wantOneBad(t, mk(80, 20), mk(95, 20), "CHANGED structural:mix6")
+	wantOneBad(t, mk(80, 20), mk(80, 32), "CHANGED structural:mix6")
 }

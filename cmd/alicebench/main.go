@@ -9,8 +9,8 @@
 //	alicebench -figure 4           # Fig. 4: GCD area comparison
 //	alicebench -attack             # SAT-attack cost vs key size (Sec. 2)
 //	alicebench -arch [-design gcd] # fabric-family sweep: security vs overhead
-//	alicebench -json               # benchmark sweep -> BENCH.json (perf trajectory)
-//	alicebench -compare BENCH.json # fail on >2x kernel wall-time regression
+//	alicebench -json               # benchmark sweep -> BENCH.json (deterministic results)
+//	alicebench -compare BENCH.json # rerun the sweep; fail unless every row equals the baseline's
 //	alicebench -shard -data DIR    # the -json sweep as resumable lease-owned units
 //	alicebench -structural gcd     # per-fabric structural key analysis as JSON
 package main
@@ -35,16 +35,15 @@ func main() {
 		attack  = flag.Bool("attack", false, "run the SAT-attack scaling experiment")
 		only    = flag.String("design", "", "restrict table 2 (or -arch, default gcd) to one design")
 		archSw  = flag.Bool("arch", false, "sweep fabric families and report security vs overhead per family")
-		jsonOut = flag.Bool("json", false, "run the benchmark sweep and write a machine-readable report")
-		outPath = flag.String("out", "BENCH.json", "output path for -json")
-		compare = flag.String("compare", "", "baseline BENCH.json: rerun the sweep and fail on >2x wall-time regression")
+		jsonOut = flag.Bool("json", false, "run the benchmark sweep and write its deterministic results as JSON")
+		outPath = flag.String("out", "BENCH.json", "output path for -json, -compare and -shard")
+		compare = flag.String("compare", "", "baseline BENCH.json: rerun the sweep and fail unless every row equals the baseline's")
 		shard   = flag.Bool("shard", false, "run the -json sweep as resumable lease-owned units; any number of processes may share one -data dir, and re-running resumes after a crash")
 		dataDir = flag.String("data", "bench-shards", "shared coordination/result directory for -shard")
 		workers = flag.Int("workers", 0, "worker pool width for -shard (0 = GOMAXPROCS)")
 		workID  = flag.String("worker-id", "", "stable worker identity for -shard (default w<pid>); reusing a crashed worker's id adopts its leases without waiting out the TTL")
 		leaseT  = flag.Duration("lease-ttl", 10*time.Second, "lease TTL for -shard: a worker silent this long is presumed dead and its units are reclaimed")
-		gridSel = flag.String("grid", "", "comma-separated unit-id prefixes restricting the -shard grid (e.g. attack:,sim:)")
-		noWarm  = flag.Bool("no-warmup", false, "disable the attack warm-up in sweeps (pure SAT-attack cost)")
+		gridSel = flag.String("grid", "", "comma-separated unit-id prefixes restricting the -shard grid (e.g. attack:,structural:)")
 		structD = flag.String("structural", "", "run the flow on one design and print its per-fabric structural key analysis as JSON")
 	)
 	flag.Parse()
@@ -52,9 +51,9 @@ func main() {
 	case *structD != "":
 		structuralRows(*structD)
 	case *compare != "":
-		compareBench(*compare, *outPath, *noWarm)
+		compareBench(*compare, *outPath)
 	case *shard:
-		runSharded(*dataDir, *workID, *workers, *leaseT, *gridSel, *outPath, *noWarm)
+		runSharded(*dataDir, *workID, *workers, *leaseT, *gridSel, *outPath)
 	case *archSw:
 		d := *only
 		if d == "" {
@@ -62,7 +61,7 @@ func main() {
 		}
 		runArchSweep(os.Stdout, d)
 	case *jsonOut:
-		benchJSON(*outPath, *noWarm)
+		benchJSON(*outPath)
 	case *table == 1:
 		table1()
 	case *table == 2:

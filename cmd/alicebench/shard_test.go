@@ -12,7 +12,7 @@ import (
 )
 
 func TestSweepGridIDsStableAndUnique(t *testing.T) {
-	grid := sweepGrid(false)
+	grid := sweepGrid()
 	if len(grid) == 0 {
 		t.Fatal("empty sweep grid")
 	}
@@ -24,22 +24,15 @@ func TestSweepGridIDsStableAndUnique(t *testing.T) {
 		}
 		seen[id] = true
 	}
-	// Warm and cold runs of the same cell must have distinct ids, so
-	// their committed results never alias.
-	warm := sweepUnit{Kind: "attack", Target: "mix6"}
-	cold := sweepUnit{Kind: "attack", Target: "mix6", NoWarmup: true}
-	if warm.id() == cold.id() {
-		t.Fatalf("warm/cold unit ids alias: %s", warm.id())
-	}
 }
 
 func TestFilterGrid(t *testing.T) {
-	grid := sweepGrid(false)
+	grid := sweepGrid()
 	attacks := filterGrid(grid, "attack:")
 	if len(attacks) != len(attackTargets) {
 		t.Fatalf("attack: filter kept %d units, want %d", len(attacks), len(attackTargets))
 	}
-	one := filterGrid(grid, "attack:xor2, sim:gcd")
+	one := filterGrid(grid, "attack:xor2, impl:gcd")
 	if len(one) != 2 {
 		t.Fatalf("two-prefix filter kept %d units, want 2", len(one))
 	}
@@ -63,10 +56,9 @@ func cannedRunner(calls *atomic.Int64) func(ctx context.Context, u sweepUnit) (u
 			return unitResult{}, err
 		}
 		return unitResult{Attacks: []attackBench{{
-			Target:      u.Target,
-			KeyBits:     int(len(u.id())),
-			DIPs:        7,
-			WallSeconds: 0.25,
+			Target:  u.Target,
+			KeyBits: int(len(u.id())),
+			DIPs:    7,
 		}}}, nil
 	}
 }
@@ -120,7 +112,7 @@ func mergedBytes(t *testing.T, w *shardWorker) []byte {
 // holds nothing but a copy of the done markers.
 func TestShardMergeDeterministic(t *testing.T) {
 	dir := t.TempDir()
-	grid := filterGrid(sweepGrid(false), "attack:")
+	grid := filterGrid(sweepGrid(), "attack:")
 	var calls atomic.Int64
 
 	w1 := newTestWorker(t, dir, "w1", time.Second, grid, &calls)
@@ -166,7 +158,7 @@ func TestShardMergeDeterministic(t *testing.T) {
 // at the next epoch, and complete the grid.
 func TestShardReclaimsKilledWorkerUnit(t *testing.T) {
 	dir := t.TempDir()
-	grid := filterGrid(sweepGrid(false), "attack:xor2,attack:add4")
+	grid := filterGrid(sweepGrid(), "attack:xor2,attack:add4")
 	if len(grid) != 2 {
 		t.Fatalf("grid = %d units, want 2", len(grid))
 	}
@@ -207,7 +199,7 @@ func TestShardReclaimsKilledWorkerUnit(t *testing.T) {
 // own unexpired lease immediately (an adoption, no TTL wait).
 func TestShardAdoptsOwnLeaseAfterRestart(t *testing.T) {
 	dir := t.TempDir()
-	grid := filterGrid(sweepGrid(false), "attack:xor2")
+	grid := filterGrid(sweepGrid(), "attack:xor2")
 
 	first := newTestWorker(t, dir, "w1", time.Hour, grid, nil)
 	// Crash: the hour-long lease stays on disk.
@@ -232,7 +224,7 @@ func TestShardAdoptsOwnLeaseAfterRestart(t *testing.T) {
 // error, not spin forever re-offering the unit.
 func TestShardFailingUnitAbortsSweep(t *testing.T) {
 	dir := t.TempDir()
-	grid := filterGrid(sweepGrid(false), "attack:xor2")
+	grid := filterGrid(sweepGrid(), "attack:xor2")
 	w := newTestWorker(t, dir, "w1", time.Second, grid, nil)
 	w.runner = func(ctx context.Context, u sweepUnit) (unitResult, error) {
 		return unitResult{}, fmt.Errorf("boom: synthetic unit failure")
@@ -255,7 +247,7 @@ func TestShardFailingUnitAbortsSweep(t *testing.T) {
 // in-flight units held, so a successor need not wait out the TTL.
 func TestShardDrainReleasesLeases(t *testing.T) {
 	dir := t.TempDir()
-	grid := filterGrid(sweepGrid(false), "attack:")
+	grid := filterGrid(sweepGrid(), "attack:")
 	w := newTestWorker(t, dir, "w1", time.Hour, grid, nil)
 	started := make(chan struct{}, len(grid))
 	block := make(chan struct{})
@@ -294,7 +286,7 @@ func TestShardDrainReleasesLeases(t *testing.T) {
 func TestSweepLocalLeavesNoDirectory(t *testing.T) {
 	tmp := t.TempDir()
 	t.Setenv("TMPDIR", tmp)
-	rep, err := sweepLocal(filterGrid(sweepGrid(false), "attack:xor2"))
+	rep, err := sweepLocal(filterGrid(sweepGrid(), "attack:xor2"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -291,11 +291,11 @@ func sweepLocal(grid []sweepUnit) (*benchReport, error) {
 // -worker-id); re-running after a crash resumes exactly where the dead
 // worker stopped, and a complete sweep just re-merges, byte-
 // identically.
-func runSharded(dataDir, workerID string, workers int, ttl time.Duration, gridSelector, outPath string, noWarmup bool) {
+func runSharded(dataDir, workerID string, workers int, ttl time.Duration, gridSelector, outPath string) {
 	if workerID == "" {
 		workerID = fmt.Sprintf("w%d", os.Getpid())
 	}
-	grid := filterGrid(sweepGrid(noWarmup), gridSelector)
+	grid := filterGrid(sweepGrid(), gridSelector)
 	if len(grid) == 0 {
 		check(fmt.Errorf("grid selector %q matches no sweep units", gridSelector))
 	}
@@ -326,8 +326,8 @@ func runSharded(dataDir, workerID string, workers int, ttl time.Duration, gridSe
 	check(err)
 	check(writeReport(rep, outPath))
 	ls := w.lm.Stats()
-	fmt.Printf("wrote %s: %d flow runs, %d implementations, %d attacks, %d sim rows, %d structural rows\n",
-		outPath, len(rep.Designs), len(rep.Implement), len(rep.Attacks), len(rep.Sims), len(rep.Structural))
+	fmt.Printf("wrote %s: %d flow runs, %d implementations, %d attacks, %d fabric attacks, %d structural rows\n",
+		outPath, len(rep.Designs), len(rep.Implement), len(rep.Attacks), len(rep.FabricAttacks), len(rep.Structural))
 	fmt.Printf("worker %s: %d acquired, %d adopted, %d reclaimed, %d committed, %d fenced\n",
 		workerID, ls.Acquires, ls.Adoptions, ls.Reclaims, ls.Commits, ls.Fenced)
 }

@@ -1,12 +1,13 @@
-// Command lint is the repo's custom static checker for library code
-// under internal/: it forbids panic calls and process-global math/rand
-// use, the two idioms that have bitten this codebase before (a panic
-// in a library path takes down a serve worker; global rand couples
-// deterministic engines to unrelated callers and races under -race).
+// Command lint is the repo's custom static checker for library code —
+// internal/, serve/ and the root package: it forbids panic calls and
+// process-global math/rand use, the two idioms that have bitten this
+// codebase before (a panic in a library path takes down a serve
+// worker; global rand couples deterministic engines to unrelated
+// callers and races under -race).
 //
 // Usage:
 //
-//	go run ./tools/lint ./internal/...
+//	go run ./tools/lint ./internal/... ./serve/... .
 //
 // Rules, applied to non-test .go files only:
 //
