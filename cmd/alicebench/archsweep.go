@@ -65,7 +65,7 @@ func runArchSweep(w io.Writer, designName string) {
 				}
 				// Attack the functional configuration of each winning fabric:
 				// the LUT masks are the key the foundry attacker must recover.
-				row, err := attackFabric(b.Name, fc.Fabric.Arch.Name(), fc.Fabric.LUTs)
+				row, err := attackFabric(ctx, b.Name, fc.Fabric.Arch.Name(), fc.Fabric.LUTs)
 				check(err)
 				// Surviving the budget is the strongest row of the sweep.
 				survived = survived || row.BudgetExhausted

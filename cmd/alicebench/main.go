@@ -36,14 +36,14 @@ func main() {
 		only    = flag.String("design", "", "restrict table 2 (or -arch, default gcd) to one design")
 		archSw  = flag.Bool("arch", false, "sweep fabric families and report security vs overhead per family")
 		jsonOut = flag.Bool("json", false, "run the benchmark sweep and write its deterministic results as JSON")
-		outPath = flag.String("out", "BENCH.json", "output path for -json, -compare and -shard")
+		outPath = flag.String("out", "BENCH.json", "output path for -json, -compare and -shard (required with -grid)")
 		compare = flag.String("compare", "", "baseline BENCH.json: rerun the sweep and fail unless every row equals the baseline's")
 		shard   = flag.Bool("shard", false, "run the -json sweep as resumable lease-owned units; any number of processes may share one -data dir, and re-running resumes after a crash")
 		dataDir = flag.String("data", "bench-shards", "shared coordination/result directory for -shard")
 		workers = flag.Int("workers", 0, "worker pool width for -shard (0 = GOMAXPROCS)")
 		workID  = flag.String("worker-id", "", "stable worker identity for -shard (default w<pid>); reusing a crashed worker's id adopts its leases without waiting out the TTL")
 		leaseT  = flag.Duration("lease-ttl", 10*time.Second, "lease TTL for -shard: a worker silent this long is presumed dead and its units are reclaimed")
-		gridSel = flag.String("grid", "", "comma-separated unit-id prefixes restricting the -shard grid (e.g. attack:,structural:)")
+		gridSel = flag.String("grid", "", "comma-separated unit-id prefixes restricting the -shard grid (e.g. attack:,structural:); needs -out")
 		structD = flag.String("structural", "", "run the flow on one design and print its per-fabric structural key analysis as JSON")
 	)
 	flag.Parse()
@@ -53,6 +53,11 @@ func main() {
 	case *compare != "":
 		compareBench(*compare, *outPath)
 	case *shard:
+		if *gridSel != "" && !flagSet("out") {
+			// A partial sweep must never replace the committed baseline.
+			fmt.Fprintln(os.Stderr, "alicebench: -grid runs part of the sweep; name its report with -out (the default, BENCH.json, is the full sweep's)")
+			os.Exit(2)
+		}
 		runSharded(*dataDir, *workID, *workers, *leaseT, *gridSel, *outPath)
 	case *archSw:
 		d := *only
@@ -162,6 +167,13 @@ func structuralRows(design string) {
 	data, err := json.MarshalIndent(res.Structural, "", "  ")
 	check(err)
 	fmt.Println(string(data))
+}
+
+// flagSet reports whether the named flag was given on the command line.
+func flagSet(name string) bool {
+	set := false
+	flag.Visit(func(f *flag.Flag) { set = set || f.Name == name })
+	return set
 }
 
 func check(err error) {

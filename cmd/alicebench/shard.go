@@ -126,12 +126,12 @@ func runUnit(ctx context.Context, u sweepUnit) (unitResult, error) {
 	case "impl":
 		return runImplUnit(ctx, u.Design)
 	case "attack":
-		return runAttackUnit(u.Target)
+		return runAttackUnit(ctx, u.Target)
 	case "fabattack":
 		return runFabricAttackUnit(ctx, u.Design)
 	case "structural":
 		if u.Target != "" {
-			return runStructuralTargetUnit(u.Target)
+			return runStructuralTargetUnit(ctx, u.Target)
 		}
 		return runStructuralFlowUnit(ctx, u.Design)
 	default:
@@ -234,12 +234,12 @@ func runImplUnit(ctx context.Context, design string) (unitResult, error) {
 }
 
 // runAttackUnit attacks one synthetic corpus target.
-func runAttackUnit(target string) (unitResult, error) {
+func runAttackUnit(ctx context.Context, target string) (unitResult, error) {
 	ln, err := targetNetwork(target)
 	if err != nil {
 		return unitResult{}, err
 	}
-	v, err := attack.Evaluate(ln, attack.Options{
+	v, err := attack.Evaluate(ctx, ln, attack.Options{
 		MaxIters: attackBudget, Seed: 1, MaxConflicts: attack.DefaultMaxConflicts,
 	})
 	if err != nil {
@@ -275,7 +275,7 @@ func runFabricAttackUnit(ctx context.Context, design string) (unitResult, error)
 	}
 	var res unitResult
 	for _, f := range r.Solution.Fabrics {
-		row, err := attackFabric(design, f.Fabric.Arch.Name(), f.Fabric.LUTs)
+		row, err := attackFabric(ctx, design, f.Fabric.Arch.Name(), f.Fabric.LUTs)
 		if err != nil {
 			return unitResult{}, err
 		}
@@ -289,7 +289,7 @@ func runFabricAttackUnit(ctx context.Context, design string) (unitResult, error)
 // — cold and seeded with the structurally known bits — to price the
 // DIP saving the leak buys an attacker. Both attacks run without
 // warm-up so the counts isolate the seeding effect.
-func runStructuralTargetUnit(target string) (unitResult, error) {
+func runStructuralTargetUnit(ctx context.Context, target string) (unitResult, error) {
 	ln, err := targetNetwork(target)
 	if err != nil {
 		return unitResult{}, err
@@ -301,13 +301,13 @@ func runStructuralTargetUnit(target string) (unitResult, error) {
 	cold := attack.Options{
 		MaxIters: attackBudget, MaxConflicts: attack.DefaultMaxConflicts, Seed: 1, NoWarmup: true,
 	}
-	cv, err := attack.Evaluate(ln, cold)
+	cv, err := attack.Evaluate(ctx, ln, cold)
 	if err != nil {
 		return unitResult{}, fmt.Errorf("structural %s cold attack: %w", target, err)
 	}
 	seeded := cold
 	seeded.FixedKey = rep.FixedKey()
-	sv, err := attack.Evaluate(ln, seeded)
+	sv, err := attack.Evaluate(ctx, ln, seeded)
 	if err != nil {
 		return unitResult{}, fmt.Errorf("structural %s seeded attack: %w", target, err)
 	}
@@ -393,8 +393,8 @@ func writeReport(rep *benchReport, outPath string) error {
 
 // attackFabric prices one fabric's functional configuration against
 // the oracle-guided attack.
-func attackFabric(design, fabric string, luts *techmap.LUTNetwork) (fabricAttackBench, error) {
-	v, err := attack.Evaluate(luts, attack.Options{
+func attackFabric(ctx context.Context, design, fabric string, luts *techmap.LUTNetwork) (fabricAttackBench, error) {
+	v, err := attack.Evaluate(ctx, luts, attack.Options{
 		MaxIters: attackBudget, Seed: 1, MaxConflicts: fabricConflictBudget,
 	})
 	if err != nil {

@@ -3,9 +3,12 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -299,5 +302,34 @@ func TestSweepLocalLeavesNoDirectory(t *testing.T) {
 	}
 	if len(ents) != 0 {
 		t.Fatalf("sweep left %d entries in the temporary directory", len(ents))
+	}
+}
+
+// TestShardGridNeedsOut runs the command as a child process: -shard
+// with -grid but no -out must exit 2 before it creates the data
+// directory, so it claims no unit and writes no BENCH.json.
+func TestShardGridNeedsOut(t *testing.T) {
+	if args := os.Getenv("ALICEBENCH_TEST_ARGS"); args != "" {
+		os.Args = append([]string{"alicebench"}, strings.Split(args, "\n")...)
+		main()
+		return
+	}
+	dir := t.TempDir()
+	data := filepath.Join(dir, "data")
+	cmd := exec.Command(os.Args[0], "-test.run=^TestShardGridNeedsOut$")
+	cmd.Dir = dir
+	cmd.Env = append(os.Environ(), "ALICEBENCH_TEST_ARGS="+strings.Join([]string{"-shard", "-grid", "attack:xor2", "-data", data}, "\n"))
+	out, err := cmd.CombinedOutput()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+		t.Fatalf("want exit status 2, got %v:\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "-out") {
+		t.Errorf("message does not name -out:\n%s", out)
+	}
+	for _, p := range []string{data, filepath.Join(dir, "BENCH.json")} {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Errorf("%s exists after the refused run", p)
+		}
 	}
 }

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -59,7 +60,7 @@ func main() {
 			log.Fatal(err)
 		}
 		start := time.Now()
-		v, err := attack.Evaluate(ln, attack.Options{MaxIters: 20000, Seed: 1})
+		v, err := attack.Evaluate(context.Background(), ln, attack.Options{MaxIters: 20000, Seed: 1})
 		if err != nil {
 			log.Fatalf("%s: %v", tgt.name, err)
 		}

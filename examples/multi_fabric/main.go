@@ -116,7 +116,7 @@ func main() {
 		for _, fc := range rep.Solution.Fabrics {
 			keyBits += fc.Fabric.ConfigBits()
 			// A fabric that survives the budget is the strongest row.
-			v, err := attack.Evaluate(fc.Fabric.LUTs, attack.Options{
+			v, err := attack.Evaluate(ctx, fc.Fabric.LUTs, attack.Options{
 				MaxIters: 20000, Seed: 1, MaxConflicts: 250_000,
 			})
 			if err != nil {

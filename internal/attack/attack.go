@@ -16,6 +16,8 @@
 //   - the miter's two network copies are stamped from one CNF template
 //     (shared input variables, per-copy key and gate blocks, bulk
 //     clause loading) instead of two independent Tseitin walks;
+//   - each LUT is one multiplexer gate over its key bits, two clauses
+//     per truth-table row, not one AND gate per row under an OR;
 //   - each distinguishing input is constant-propagated through the
 //     network, so the per-iteration constraints cover only the still
 //     key-dependent cone — a LUT fed by concrete values contributes a
@@ -29,6 +31,7 @@
 package attack
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -302,8 +305,16 @@ func tseitinXor(s *sat.Solver, a, b sat.Lit) sat.Lit {
 // The seed diversifies distinguishing-input tie-breaking (it seeds the
 // solver's decision phases), so different seeds explore different DIP
 // sequences; a fixed seed is fully deterministic. Evaluate wraps it
-// with the key check every verdict needs.
+// with the key check every verdict needs, and with cancellation.
 func RecoverBitstreamOpts(ln *techmap.LUTNetwork, opts Options) (*Result, error) {
+	return recoverBitstream(context.Background(), ln, opts)
+}
+
+// recoverBitstream is RecoverBitstreamOpts under ctx: the warm-up
+// checks it once per batch, the DIP loop after each query, and the
+// solver, interrupted when ctx is done, at its next conflict. A
+// cancelled attack returns ctx's error.
+func recoverBitstream(ctx context.Context, ln *techmap.LUTNetwork, opts Options) (*Result, error) {
 	maxIters, seed := opts.MaxIters, opts.Seed
 	if maxIters <= 0 {
 		return nil, fmt.Errorf("attack: MaxIters %d is an empty budget, not an unlimited one; use attack.Unlimited() or attack.DefaultBudget()", maxIters)
@@ -313,6 +324,7 @@ func RecoverBitstreamOpts(ln *techmap.LUTNetwork, opts Options) (*Result, error)
 		return nil, fmt.Errorf("attack: network has no LUTs")
 	}
 	s := sat.NewSolver()
+	defer context.AfterFunc(ctx, s.Interrupt)()
 	// The solver saves no phases, by design: the DIP query wants a
 	// *diverse* model each iteration (the previous model's neighbourhood
 	// has just been excluded), and measured on the attack corpus, saved
@@ -448,6 +460,9 @@ func RecoverBitstreamOpts(ln *techmap.LUTNetwork, opts Options) (*Result, error)
 		wval := make([]uint64, len(v.ln.Nodes))
 		var ibuf [techmap.MaxK]uint64
 		for done := 0; done < warmup; done += 64 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 			batch := warmup - done
 			if batch > 64 {
 				batch = 64
@@ -489,6 +504,9 @@ func RecoverBitstreamOpts(ln *techmap.LUTNetwork, opts Options) (*Result, error)
 			}
 		}
 		satisfiable, decided := s.SolveBudgeted(rem, act)
+		if err := ctx.Err(); err != nil {
+			return nil, err // an interrupted query is undecided, not over budget
+		}
 		if !decided {
 			return nil, budgetErr(iter)
 		}
@@ -498,7 +516,11 @@ func RecoverBitstreamOpts(ln *techmap.LUTNetwork, opts Options) (*Result, error)
 			// constraints are unconditional clauses, so the same solver
 			// yields a witness once the miter assumption is dropped.
 			res.Iterations = iter
-			if !s.Solve() {
+			witness, decided := s.SolveBudgeted(0)
+			if !decided {
+				return nil, ctx.Err()
+			}
+			if !witness {
 				return nil, fmt.Errorf("attack: constraint set unsatisfiable (internal error)")
 			}
 			fill()
@@ -609,10 +631,11 @@ type Verdict struct {
 // done), not an error, and a converged key must reproduce the oracle on
 // every pattern of a VerifyKey sweep, or Evaluate returns an error
 // naming the bad-pattern count. Any other attack error is returned
-// unchanged. Structural seeding stays with the caller, through
-// opts.FixedKey.
-func Evaluate(ln *techmap.LUTNetwork, opts Options) (Verdict, error) {
-	res, err := RecoverBitstreamOpts(ln, opts)
+// unchanged. Cancelling ctx stops the attack within one conflict and
+// returns ctx's error, not a verdict. Structural seeding stays with
+// the caller, through opts.FixedKey.
+func Evaluate(ctx context.Context, ln *techmap.LUTNetwork, opts Options) (Verdict, error) {
+	res, err := recoverBitstream(ctx, ln, opts)
 	var be *BudgetError
 	if errors.As(err, &be) {
 		return Verdict{KeyBits: be.KeyBits, DIPs: be.Iterations, Conflicts: be.Conflicts, Propagations: be.Propagations}, nil

@@ -1,12 +1,14 @@
 package attack
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"maps"
 	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"alice/internal/techmap"
 )
@@ -151,21 +153,21 @@ type searchCounts struct {
 // reductions.
 func TestAttackSearchGolden(t *testing.T) {
 	want := map[string]searchCounts{
-		"target 0":            {0, 4, 5, 47, 0, 0},
-		"target 0 no warm-up": {4, 4, 25, 121, 0, 0},
-		"target 1":            {0, 1695, 2820, 361723, 0, 0},
-		"target 1 no warm-up": {34, 1419, 5568, 160489, 0, 0},
-		"target 2":            {0, 257, 366, 14400, 0, 0},
-		"target 2 no warm-up": {26, 269, 1640, 13828, 0, 0},
-		"target 3":            {0, 258, 366, 15109, 0, 0},
-		"target 3 no warm-up": {22, 260, 1618, 12184, 0, 0},
-		"target 4":            {0, 9, 11, 107, 0, 0},
-		"target 4 no warm-up": {8, 9, 87, 359, 0, 0},
-		"target 5":            {0, 4, 5, 89, 0, 0},
-		"target 5 no warm-up": {4, 4, 46, 231, 0, 0},
-		"add4":                {0, 1695, 2820, 361723, 0, 0},
-		"sbox6":               {0, 257, 366, 14400, 0, 0},
-		"mix6":                {8, 88204, 138424, 32017445, 17, 62036},
+		"target 0":            {0, 4, 5, 27, 0, 0},
+		"target 0 no warm-up": {4, 4, 25, 71, 0, 0},
+		"target 1":            {0, 1495, 2536, 71315, 0, 0},
+		"target 1 no warm-up": {36, 1320, 5427, 54053, 0, 0},
+		"target 2":            {0, 256, 371, 4984, 0, 0},
+		"target 2 no warm-up": {26, 257, 1631, 6103, 0, 0},
+		"target 3":            {0, 256, 370, 4643, 0, 0},
+		"target 3 no warm-up": {22, 256, 1572, 5630, 0, 0},
+		"target 4":            {0, 8, 10, 48, 0, 0},
+		"target 4 no warm-up": {8, 8, 86, 176, 0, 0},
+		"target 5":            {0, 4, 5, 53, 0, 0},
+		"target 5 no warm-up": {4, 4, 46, 129, 0, 0},
+		"add4":                {0, 1495, 2536, 71315, 0, 0},
+		"sbox6":               {0, 256, 371, 4984, 0, 0},
+		"mix6":                {10, 65011, 108594, 4253649, 14, 44006},
 	}
 	check := func(name, src string, opts Options) {
 		res, err := RecoverBitstreamOpts(mapDesign(t, src), opts)
@@ -250,7 +252,7 @@ func TestAttackBudgetError(t *testing.T) {
 // counts and no error, and an empty budget is an error.
 func TestEvaluateVerdicts(t *testing.T) {
 	ln := mapDesign(t, crossTargets[1])
-	v, err := Evaluate(ln, Options{MaxIters: 2000, Seed: 1})
+	v, err := Evaluate(context.Background(), ln, Options{MaxIters: 2000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +263,7 @@ func TestEvaluateVerdicts(t *testing.T) {
 		t.Fatalf("cracked verdict key wrong on %d patterns", bad)
 	}
 
-	v, err = Evaluate(ln, Options{MaxIters: 1, Seed: 1, NoWarmup: true})
+	v, err = Evaluate(context.Background(), ln, Options{MaxIters: 1, Seed: 1, NoWarmup: true})
 	if err != nil {
 		t.Fatalf("budget exhaustion must be a verdict, got %v", err)
 	}
@@ -269,7 +271,7 @@ func TestEvaluateVerdicts(t *testing.T) {
 		t.Fatalf("survived verdict: %+v", v)
 	}
 
-	if _, err := Evaluate(ln, Options{Seed: 1}); err == nil {
+	if _, err := Evaluate(context.Background(), ln, Options{Seed: 1}); err == nil {
 		t.Fatal("empty budget accepted")
 	}
 }
@@ -339,5 +341,36 @@ func TestAttackAllocs(t *testing.T) {
 	// design; stay an order of magnitude below.
 	if perIter > 260 {
 		t.Errorf("allocation regression: %.0f allocs per iteration", perIter)
+	}
+}
+
+// TestEvaluateCancel cancels an attack that runs for seconds (mix8
+// without warm-up or budget, most of it in SAT queries): Evaluate must
+// return context.Canceled, not a verdict, within a second.
+func TestEvaluateCancel(t *testing.T) {
+	ln := mapDesign(t, `module t (input wire [7:0] a, input wire [7:0] k, output wire [7:0] y);
+  assign y = (a + k) ^ {a[3:0], k[7:4]};
+endmodule`)
+	opts := Unlimited()
+	opts.Seed, opts.NoWarmup = 1, true
+	ctx, cancel := context.WithCancel(context.Background())
+	type outcome struct {
+		v   Verdict
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		v, err := Evaluate(ctx, ln, opts)
+		done <- outcome{v, err}
+	}()
+	time.Sleep(100 * time.Millisecond)
+	cancel()
+	select {
+	case o := <-done:
+		if !errors.Is(o.err, context.Canceled) {
+			t.Fatalf("cancelled attack returned %+v, %v; want context.Canceled", o.v, o.err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("attack still running 1 s after cancel")
 	}
 }

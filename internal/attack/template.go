@@ -14,6 +14,10 @@ import (
 //     abstract variables to concrete solver variables with base
 //     offsets (shared inputs, per-copy keys, per-stamp gates) and
 //     bulk-loading the clauses;
+//   - the *multiplexer encoding* of a LUT: one gate variable, which
+//     the LUT's distinct symbolic inputs select from the key bits of
+//     the rows they address, with two clauses per row and no per-row
+//     gate;
 //   - *key-cone reduction*: when the inputs are a concrete
 //     distinguishing input pattern, the encoder constant-propagates it
 //     through the network, folds key bits the solver has already
@@ -21,7 +25,8 @@ import (
 //     the cone that is still key-dependent. A LUT whose inputs are all
 //     concrete reduces to a bare key literal (no clauses at all), and
 //     one whose selected key bits are already fixed folds to a
-//     constant that propagates onward.
+//     constant, or to one of its input literals, that propagates
+//     onward.
 //
 // Template literals (tlit, an int32) mirror the solver's literal
 // encoding — (var<<1)|sign — over a 1-based abstract variable space
@@ -57,8 +62,6 @@ type template struct {
 
 	// builder scratch
 	state []int32 // per network node: tlit or tConst0/1
-	conj  []int32
-	terms []int32
 	outs  []int32
 }
 
@@ -79,91 +82,6 @@ func (tb *template) newGate() int32 {
 func (tb *template) addClause(lits ...int32) {
 	tb.lits = append(tb.lits, lits...)
 	tb.ends = append(tb.ends, int32(len(tb.lits)))
-}
-
-// mkAnd returns a tlit equivalent to the conjunction of lits,
-// simplifying constants, duplicates, and complementary pairs; a gate
-// (with its defining clauses) is emitted only when two or more
-// distinct literals remain. lits is consumed as scratch.
-func (tb *template) mkAnd(lits []int32) int32 {
-	out := lits[:0]
-	for _, l := range lits {
-		if l == tConst1 {
-			continue
-		}
-		if l == tConst0 {
-			return tConst0
-		}
-		dup := false
-		for _, o := range out {
-			if o == l {
-				dup = true
-				break
-			}
-			if o == tNeg(l) {
-				return tConst0 // x AND NOT x
-			}
-		}
-		if !dup {
-			out = append(out, l)
-		}
-	}
-	switch len(out) {
-	case 0:
-		return tConst1
-	case 1:
-		return out[0]
-	}
-	g := tb.newGate()
-	for _, l := range out {
-		tb.addClause(tNeg(g), l)
-	}
-	tb.lits = append(tb.lits, g)
-	for _, l := range out {
-		tb.lits = append(tb.lits, tNeg(l))
-	}
-	tb.ends = append(tb.ends, int32(len(tb.lits)))
-	return g
-}
-
-// mkOr is the dual of mkAnd.
-func (tb *template) mkOr(lits []int32) int32 {
-	out := lits[:0]
-	for _, l := range lits {
-		if l == tConst0 {
-			continue
-		}
-		if l == tConst1 {
-			return tConst1
-		}
-		dup := false
-		for _, o := range out {
-			if o == l {
-				dup = true
-				break
-			}
-			if o == tNeg(l) {
-				return tConst1 // x OR NOT x
-			}
-		}
-		if !dup {
-			out = append(out, l)
-		}
-	}
-	switch len(out) {
-	case 0:
-		return tConst0
-	case 1:
-		return out[0]
-	}
-	g := tb.newGate()
-	for _, l := range out {
-		tb.addClause(g, tNeg(l))
-	}
-	tb.lits = append(tb.lits, tNeg(g))
-	tb.lits = append(tb.lits, out...)
-	tb.ends = append(tb.ends, int32(len(tb.lits)))
-	return g
 }
 
 // lit maps a template literal to a concrete solver literal given the
@@ -231,73 +149,8 @@ func (v *combView) buildCone(tb *template, inLits []int32, keyFixed func(int) (v
 		case techmap.LConst1:
 			state[i] = tConst1
 		case techmap.LLUT:
-			nin := len(n.In)
-			rows := 1 << uint(nin)
-			// Partition the LUT's inputs into constants (folded into the
-			// base row index) and symbolic literals.
-			var symPos [techmap.MaxK]int
-			var symLit [techmap.MaxK]int32
-			u := 0
-			baseIdx := 0
-			for k := 0; k < nin; k++ {
-				il := state[n.In[k]]
-				switch {
-				case il == tConst1:
-					baseIdx |= 1 << uint(k)
-				case il == tConst0:
-					// contributes 0 to the row index
-				default:
-					symPos[u], symLit[u] = k, il
-					u++
-				}
-			}
-			terms := tb.terms[:0]
-			anyDropped, allKeyFree := false, true
-			for c := 0; c < 1<<uint(u); c++ {
-				idx := baseIdx
-				for b := 0; b < u; b++ {
-					if c&(1<<uint(b)) != 0 {
-						idx |= 1 << uint(symPos[b])
-					}
-				}
-				conj := tb.conj[:0]
-				for b := 0; b < u; b++ {
-					l := symLit[b]
-					if c&(1<<uint(b)) == 0 {
-						l = tNeg(l)
-					}
-					conj = append(conj, l)
-				}
-				keyed := true
-				if keyFixed != nil {
-					if val, known := keyFixed(kpos + idx); known {
-						if !val {
-							tb.conj = conj
-							anyDropped = true
-							continue // row proven absent
-						}
-						keyed = false // row proven present: key literal folds away
-					}
-				}
-				if keyed {
-					conj = append(conj, tb.keyTLit(kpos+idx))
-					allKeyFree = false
-				}
-				t := tb.mkAnd(conj)
-				tb.conj = conj[:0]
-				if t != tConst0 {
-					terms = append(terms, t)
-				}
-			}
-			tb.terms = terms[:0]
-			kpos += rows
-			if allKeyFree && !anyDropped {
-				// Every reachable row is proven present: the output is true
-				// for every input combination, i.e. constant.
-				state[i] = tConst1
-				continue
-			}
-			state[i] = tb.mkOr(terms)
+			state[i] = tb.lut(n.In, state, kpos, keyFixed)
+			kpos += 1 << uint(len(n.In))
 		}
 	}
 	outs := tb.outs[:0]
@@ -306,4 +159,123 @@ func (v *combView) buildCone(tb *template, inLits []int32, keyFixed func(int) (v
 	}
 	tb.outs = outs
 	return outs
+}
+
+// lut encodes one LUT node, whose key bits start at kpos, as a
+// multiplexer and returns its output tlit. Constant pins fold into the
+// row index; symbolic pins merge by variable, so a repeated pin, or a
+// pin and its complement, is one selector. Each assignment a of the u
+// selectors x addresses one row, whose term t(a) is the row's key
+// literal, or a constant when keyFixed reports the bit. The output is
+// one gate g with, per row, (x≠a) ∨ ¬t(a) ∨ g and (x≠a) ∨ t(a) ∨ ¬g,
+// where (x≠a) is the disjunction of the selector literals that a
+// falsifies; a constant t(a) keeps only the clause it does not
+// satisfy. The selectors are distinct variables and every row has its
+// own key bit, so no clause holds a duplicate or a complementary pair.
+// With no selector the output is t(0), and when every term is constant
+// and the row function is a constant, a selector or its negation, the
+// output is that, with no gate.
+func (tb *template) lut(in []int32, state []int32, kpos int, keyFixed func(int) (value, known bool)) int32 {
+	var (
+		sel    [techmap.MaxK]int32 // distinct selector variables, as positive tlits
+		pinSel [techmap.MaxK]int   // per pin: its selector, -1 for a constant
+		pinNeg [techmap.MaxK]bool  // per pin: the selector complemented
+		term   [1 << techmap.MaxK]int32
+	)
+	base, u := 0, 0
+	for k, id := range in {
+		l := state[id]
+		pinSel[k] = -1
+		switch l {
+		case tConst1:
+			base |= 1 << uint(k)
+		case tConst0:
+		default:
+			j := 0
+			for j < u && sel[j] != l&^1 {
+				j++
+			}
+			if j == u {
+				sel[u] = l &^ 1
+				u++
+			}
+			pinSel[k], pinNeg[k] = j, l&1 == 1
+		}
+	}
+	rows := 1 << uint(u)
+	allConst := true
+	var fval uint64 // row function over the selectors, when allConst
+	for a := 0; a < rows; a++ {
+		row := base
+		for k, j := range pinSel[:len(in)] {
+			if j >= 0 && (a>>uint(j)&1 == 1) != pinNeg[k] {
+				row |= 1 << uint(k)
+			}
+		}
+		t := tb.keyTLit(kpos + row)
+		if keyFixed != nil {
+			if val, known := keyFixed(kpos + row); known {
+				t = tConst0
+				if val {
+					t = tConst1
+					fval |= 1 << uint(a)
+				}
+			}
+		}
+		allConst = allConst && tIsConst(t)
+		term[a] = t
+	}
+	if u == 0 {
+		return term[0]
+	}
+	if allConst {
+		full := uint64(1)<<uint(rows) - 1
+		switch fval {
+		case 0:
+			return tConst0
+		case full:
+			return tConst1
+		}
+		for j := 0; j < u; j++ {
+			var on uint64 // rows with selector j true
+			for a := 0; a < rows; a++ {
+				if a>>uint(j)&1 == 1 {
+					on |= 1 << uint(a)
+				}
+			}
+			switch fval {
+			case on:
+				return sel[j]
+			case full &^ on:
+				return tNeg(sel[j])
+			}
+		}
+	}
+	g := tb.newGate()
+	for a := 0; a < rows; a++ {
+		if t := term[a]; t != tConst0 {
+			tb.rowClause(sel[:u], a, tNeg(t), g) // t(a) → g
+		}
+		if t := term[a]; t != tConst1 {
+			tb.rowClause(sel[:u], a, t, tNeg(g)) // ¬t(a) → ¬g
+		}
+	}
+	return g
+}
+
+// rowClause appends (x≠a) ∨ lt ∨ lg, where (x≠a) holds, for each
+// selector, the literal that assignment a falsifies. A constant lt is
+// false here and is left out.
+func (tb *template) rowClause(sel []int32, a int, lt, lg int32) {
+	for j, x := range sel {
+		if a>>uint(j)&1 == 1 {
+			x = tNeg(x)
+		}
+		tb.lits = append(tb.lits, x)
+	}
+	if !tIsConst(lt) {
+		tb.lits = append(tb.lits, lt)
+	}
+	tb.lits = append(tb.lits, lg)
+	tb.ends = append(tb.ends, int32(len(tb.lits)))
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"time"
 )
 
 // TestSolveAssumingBasics checks the assumption interface on small
@@ -292,5 +293,31 @@ func TestAddClausesFlat(t *testing.T) {
 				t.Fatalf("seed %d: bulk verdict %v, AddClause verdict %v", seed, got, want)
 			}
 		}
+	}
+}
+
+// TestInterruptStopsLongQuery interrupts one pigeonhole query that
+// runs for minutes from another goroutine: the search must stop at a
+// conflict soon after, undecided, and a later search stops as well.
+func TestInterruptStopsLongQuery(t *testing.T) {
+	s := NewSolver()
+	pigeonhole(s, 13, 12)
+	done := make(chan bool)
+	go func() {
+		_, decided := s.SolveBudgeted(0)
+		done <- decided
+	}()
+	time.Sleep(50 * time.Millisecond)
+	s.Interrupt()
+	select {
+	case decided := <-done:
+		if decided {
+			t.Fatal("interrupted query reported a verdict")
+		}
+	case <-time.After(time.Second):
+		t.Fatal("query still running 1 s after Interrupt")
+	}
+	if _, decided := s.SolveBudgeted(0); decided {
+		t.Fatal("a search after Interrupt reported a verdict")
 	}
 }

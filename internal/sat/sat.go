@@ -18,7 +18,10 @@
 // the "give me a witness key" queries of the attack loop.
 package sat
 
-import "sort"
+import (
+	"sort"
+	"sync/atomic"
+)
 
 // Lit is a literal: variable index v (1-based) encoded as 2v for the
 // positive literal and 2v+1 for the negative literal.
@@ -141,6 +144,8 @@ type Solver struct {
 	anStack  []Lit  // litRedundant DFS stack
 
 	nextReduce int // conflict count triggering the next reduction
+
+	interrupted atomic.Bool // set by Interrupt, read once per conflict
 
 	// Stats.
 	Conflicts    int
@@ -869,12 +874,19 @@ func (s *Solver) SolveAssuming(assumps ...Lit) bool {
 	return res
 }
 
+// Interrupt stops the search at its next conflict, as if its conflict
+// budget had run out: the running or next SolveBudgeted call reports
+// decided=false. It is safe to call from another goroutine, e.g. from
+// context.AfterFunc, and it stays in force for every later search.
+func (s *Solver) Interrupt() { s.interrupted.Store(true) }
+
 // SolveBudgeted is SolveAssuming with a conflict budget: if the search
-// exceeds maxConflicts additional conflicts the solver backtracks to
-// the root and reports decided=false (the formula keeps all learned
-// clauses, so a later call resumes the work). maxConflicts <= 0 means
-// unlimited. Security sweeps use it to bound the cost of attacking a
-// fabric that is simply too strong to crack.
+// exceeds maxConflicts additional conflicts, or Interrupt is called,
+// the solver backtracks to the root and reports decided=false (the
+// formula keeps all learned clauses, so a later call resumes the
+// work). maxConflicts <= 0 means unlimited. Security sweeps use it to
+// bound the cost of attacking a fabric that is simply too strong to
+// crack.
 func (s *Solver) SolveBudgeted(maxConflicts int, assumps ...Lit) (result, decided bool) {
 	budget := -1
 	if maxConflicts > 0 {
@@ -904,7 +916,7 @@ func (s *Solver) SolveBudgeted(maxConflicts int, assumps ...Lit) (result, decide
 				s.unsat = true
 				return false, true
 			}
-			if budget >= 0 && s.Conflicts >= budget {
+			if (budget >= 0 && s.Conflicts >= budget) || s.interrupted.Load() {
 				s.cancelUntil(0)
 				return false, false
 			}

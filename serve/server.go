@@ -599,7 +599,11 @@ func (s *Server) runJob(ctx context.Context, job *jobq.Job) ([]byte, error) {
 					// recovered values, dead bits at any fixed value.
 					aopts.FixedKey = fc.Structural.FixedKey()
 				}
-				res.Attack = append(res.Attack, runAttack(fc, aopts))
+				av, err := runAttack(ctx, fc, aopts)
+				if err != nil {
+					return nil, err
+				}
+				res.Attack = append(res.Attack, av)
 			}
 		}
 	}
@@ -638,23 +642,28 @@ func structuralVerdict(fc *alice.FabricCandidate) StructuralVerdict {
 	return v
 }
 
-// runAttack evaluates one solution fabric under the SAT attack.
-func runAttack(fc *alice.FabricCandidate, opts attack.Options) AttackVerdict {
+// runAttack evaluates one solution fabric under the SAT attack. An
+// attack error is part of the verdict; only cancellation of ctx, which
+// stops the attack within one conflict, fails the job.
+func runAttack(ctx context.Context, fc *alice.FabricCandidate, opts attack.Options) (AttackVerdict, error) {
 	arch := fc.Fabric.Arch
 	v := AttackVerdict{
 		Fabric: fmt.Sprintf("%dx%d K%d/N%d", arch.W, arch.W, arch.LUTSize, arch.BLEsPerCLB),
 	}
-	ev, err := attack.Evaluate(fc.Fabric.LUTs, opts)
+	ev, err := attack.Evaluate(ctx, fc.Fabric.LUTs, opts)
 	if err != nil {
+		if ctx.Err() != nil {
+			return v, err
+		}
 		v.Error = err.Error()
-		return v
+		return v, nil
 	}
 	v.KeyBits = ev.KeyBits
 	v.Cracked = ev.Cracked
 	v.BudgetExceeded = !ev.Cracked
 	v.Iterations = ev.DIPs
 	v.Conflicts = ev.Conflicts
-	return v
+	return v, nil
 }
 
 // stats assembles the service-wide stats response.

@@ -494,3 +494,43 @@ func TestStructuralVerdicts(t *testing.T) {
 			again.Result.Cached, again.Result.StoreKey, res.StoreKey)
 	}
 }
+
+// TestDeleteJobInAttackStage deletes a job while it attacks its
+// fabrics, on a server with one worker: the attack must stop at once
+// (uncapped, the usb_phy attacks run for tens of seconds), the job
+// must end canceled, and the next job must run on the freed worker.
+func TestDeleteJobInAttackStage(t *testing.T) {
+	srv, err := New(Options{DataDir: t.TempDir(), Workers: 1, JobTimeout: 2 * time.Minute, NoSync: true})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer closeServer(t, srv, ts)
+
+	victim := postJob(t, ts.URL, `{"bench":"usb_phy","cfg":1,"attack":{"seed":1}}`)
+	deadline := time.Now().Add(time.Minute)
+	for getStats(t, ts.URL).AttackRuns == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("victim never reached its attack stage")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	delReq, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+victim.ID, nil)
+	resp, err := http.DefaultClient.Do(delReq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	deleted := time.Now()
+	next := postJob(t, ts.URL, `{"bench":"gcd","cfg":1}`)
+
+	if end := waitJob(t, ts.URL, victim.ID); end.State != "canceled" {
+		t.Fatalf("victim state %s (%s), want canceled", end.State, end.Error)
+	}
+	if d := time.Since(deleted); d > 5*time.Second {
+		t.Fatalf("victim ran on for %v after DELETE", d)
+	}
+	if done := waitJob(t, ts.URL, next.ID); done.State != "succeeded" {
+		t.Fatalf("next job: %s (%s)", done.State, done.Error)
+	}
+}
