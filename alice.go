@@ -94,8 +94,9 @@ type Arch = fabric.Arch
 // StructuralReport is the oracle-free structural analysis of a
 // programmed fabric: every key bit classified as leaked, dead, or
 // opaque with per-bit provenance, plus removal-attack candidates and
-// the surviving effective key length. Selection computes one per
-// characterized candidate (FabricCandidate.Structural) and prices the
+// the surviving effective key length. Characterization computes one per
+// fabric and caches it with the fabric; every candidate carries it
+// (FabricCandidate.Structural), and selection prices the
 // effective key length into ranking when Config.KeyWeight is set;
 // Config.MinEffectiveKeyBits turns it into a hard floor
 // (ErrBelowKeyFloor).

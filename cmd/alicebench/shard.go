@@ -325,10 +325,10 @@ func runStructuralTargetUnit(ctx context.Context, target string) (unitResult, er
 	}}}, nil
 }
 
-// runStructuralFlowUnit classifies each winning fabric of one design's
-// cfg1 solution — the per-fabric structural column of the attack
-// matrix. The analysis runs with the seed selection used, so its
-// verdicts are the ones selection priced.
+// runStructuralFlowUnit reports the structural analysis of each winning
+// fabric of one design's cfg1 solution — the per-fabric structural
+// column of the attack matrix. The reports are the ones selection
+// priced: characterization analyzed each fabric with the flow's seed.
 func runStructuralFlowUnit(ctx context.Context, design string) (unitResult, error) {
 	cfg, b, err := benchConfig(design, "cfg1")
 	if err != nil {
@@ -344,9 +344,9 @@ func runStructuralFlowUnit(ctx context.Context, design string) (unitResult, erro
 	}
 	var res unitResult
 	for _, f := range r.Solution.Fabrics {
-		s, err := structural.Analyze(f.Fabric.LUTs, structural.Options{Seed: cfg.Seed})
-		if err != nil {
-			return unitResult{}, err
+		s := f.Structural
+		if s == nil {
+			return unitResult{}, fmt.Errorf("%s: fabric %s has no structural report", design, f.Fabric.Arch.Name())
 		}
 		res.Structural = append(res.Structural, structuralBench{
 			Design:            design,

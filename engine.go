@@ -201,7 +201,11 @@ func (e *Engine) Characterize(ctx context.Context, d *ElaboratedDesign, clusters
 
 // Select ranks the characterized fabrics with Eq. 1 and enumerates
 // admissible solutions (Algorithm 3). Characterize once, then Select
-// under several configurations to explore budgets cheaply.
+// under several configurations to explore budgets cheaply. Select
+// reuses the structural report each fabric got at characterization,
+// seeded with the characterizing configuration's Seed; the seed moves
+// only the report's removal candidates, never a bit's class or the
+// effective key length that selection prices.
 func (e *Engine) Select(ctx context.Context, cands []FabricCandidate) (*SelectionResult, error) {
 	return core.SelectEFPGAs(ctx, cands, e.cfg)
 }

@@ -2,6 +2,7 @@ package alice_test
 
 import (
 	"context"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -12,8 +13,11 @@ import (
 // CharacterizationCache from every direction at once — RunBatch fan-out
 // plus direct parallel Run calls on a second engine — and checks the
 // runs stay deterministic: every report must select the same fabrics
-// as a clean sequential run. Run with -race, this is the regression
-// test for the Cache interface's concurrency contract.
+// as a clean sequential run, and each solution fabric must carry the
+// reference's structural report (the reports are made in the
+// characterization workers and shared through the cache). Run with
+// -race, this is the regression test for the Cache interface's
+// concurrency contract.
 func TestEngineConcurrentSharedCache(t *testing.T) {
 	b, ok := alice.BenchmarkByName("gcd")
 	if !ok {
@@ -94,6 +98,13 @@ func TestEngineConcurrentSharedCache(t *testing.T) {
 		}
 		if rep.FabricSizes != ref.FabricSizes {
 			t.Errorf("concurrent run selected %q, sequential reference %q", rep.FabricSizes, ref.FabricSizes)
+			continue
+		}
+		for i, f := range rep.Solution.Fabrics {
+			want := ref.Solution.Fabrics[i].Structural
+			if f.Fabric.Structural == nil || !reflect.DeepEqual(f.Fabric.Structural, want) || !reflect.DeepEqual(f.Structural, want) {
+				t.Errorf("concurrent run fabric %d: structural report differs from the sequential reference's", i)
+			}
 		}
 	}
 	if n != 12 {

@@ -63,10 +63,14 @@ type Config struct {
 	ImplementWinner bool
 	// Direction controls Eq. 1 ranking (see ScoreDirection).
 	Direction ScoreDirection
-	// Seed feeds the placement annealer.
+	// Seed feeds the placement annealer and the random signatures of
+	// the structural analysis's removal pass. The characterization
+	// cache keys on it, so a cached fabric's structural report always
+	// carries this seed.
 	Seed int64
 	// MaxClusters aborts cluster identification beyond this many
-	// candidate clusters (safety valve; 0 = unlimited).
+	// candidate clusters, singletons included (safety valve; 0 =
+	// unlimited).
 	MaxClusters int
 	// ArchSpace lists the fabric families characterization explores:
 	// every cluster is characterized against each family (and the

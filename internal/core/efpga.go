@@ -100,9 +100,10 @@ type FabricCandidate struct {
 	Slack float64
 	// Structural is the oracle-free structural analysis of the
 	// programmed fabric (key-bit classification and effective key
-	// length). Selection fills it in — it lives on the candidate, not
-	// the fabric, because cached fabrics are shared across configs and
-	// may predate the analyzer.
+	// length): the report characterization stored on the fabric.
+	// Selection analyzes a fabric that arrives without one (a disk
+	// record written before characterization analyzed) on its own copy
+	// of the candidate, never on the shared cached fabric.
 	Structural *structural.Report
 }
 
@@ -136,8 +137,10 @@ type CharacterizeOptions struct {
 // cluster-major, family-minor (candidate i*len(space)+f is cluster i
 // under family f) regardless of parallelism. Each cluster wrapper is
 // synthesized once and re-mapped per family, since only the LUT size
-// changes the mapping. It returns the context's error if the run is
-// cancelled.
+// changes the mapping. Each characterized fabric also gets its
+// structural analysis (seeded with cfg.Seed, which the cache key
+// covers) before it is cached, so a cache hit skips it too. It returns
+// the context's error if the run is cancelled.
 func CharacterizeClusters(ctx context.Context, d *rtl.Design, clusters []Cluster, cfg *Config, co CharacterizeOptions) ([]FabricCandidate, error) {
 	space := cfg.archSpace()
 	out := make([]FabricCandidate, len(clusters)*len(space))
@@ -219,7 +222,7 @@ func CharacterizeClusters(ctx context.Context, d *rtl.Design, clusters []Cluster
 			// sweeps over the same design must not alias.
 			key = c.Key() + "\x00" + fp + "\x00" + fmt.Sprintf("%+v", fam)
 			if fab, err, ok := co.Cache.Lookup(key); ok {
-				out[slot] = FabricCandidate{Cluster: c, Family: fam, Fabric: fab, Err: err}
+				out[slot] = newCandidate(c, fam, fab, err)
 				return
 			}
 		}
@@ -234,13 +237,16 @@ func CharacterizeClusters(ctx context.Context, d *rtl.Design, clusters []Cluster
 				fab, err = openfpga.CharacterizeLUTs(ctx, n, ln, c.Pins, famOpts)
 			}
 		}
+		if fab != nil {
+			fab.Structural, _ = structural.Analyze(fab.LUTs, structural.Options{Seed: cfg.Seed})
+		}
 		if ctx.Err() != nil {
 			return // do not cache or report a cancellation artifact
 		}
 		if co.Cache != nil {
 			co.Cache.Store(key, fab, err)
 		}
-		out[slot] = FabricCandidate{Cluster: c, Family: fam, Fabric: fab, Err: err}
+		out[slot] = newCandidate(c, fam, fab, err)
 	}
 
 	ParallelFor(len(out), co.Parallelism, func(slot int) {
@@ -259,4 +265,14 @@ func CharacterizeClusters(ctx context.Context, d *rtl.Design, clusters []Cluster
 		return nil, err
 	}
 	return out, nil
+}
+
+// newCandidate couples a characterization outcome with its cluster and
+// family, taking the structural report from the fabric.
+func newCandidate(c Cluster, fam fabric.Params, fab *openfpga.Fabric, err error) FabricCandidate {
+	fc := FabricCandidate{Cluster: c, Family: fam, Fabric: fab, Err: err}
+	if fab != nil {
+		fc.Structural = fab.Structural
+	}
+	return fc
 }

@@ -85,10 +85,11 @@ func SelectEFPGAs(ctx context.Context, cands []FabricCandidate, cfg *Config) (*S
 		if c.Fabric == nil {
 			continue
 		}
-		// Oracle-free structural analysis of the programmed fabric: the
-		// report prices the security term, feeds the floor, and rides to
-		// the flow report. It lives on the candidate copy because cached
-		// fabrics are shared across configurations.
+		// The structural report prices the security term, feeds the
+		// floor, and rides to the flow report. Characterization made it;
+		// a fabric from an older disk record arrives without one and is
+		// analyzed here, on the candidate copy, because cached fabrics
+		// are shared across runs.
 		if c.Structural == nil {
 			c.Structural, _ = structural.Analyze(c.Fabric.LUTs, structural.Options{Seed: cfg.Seed})
 		}

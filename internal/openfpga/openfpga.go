@@ -19,6 +19,7 @@ import (
 	"alice/internal/place"
 	"alice/internal/route"
 	"alice/internal/rtl"
+	"alice/internal/structural"
 	"alice/internal/synth"
 	"alice/internal/techmap"
 	"alice/internal/timing"
@@ -82,6 +83,11 @@ type Fabric struct {
 	// exact (routed wire delays) after Implement, a placement-free
 	// estimate in fast mode. Never nil for a characterized fabric.
 	Timing *timing.Report
+	// Structural is the oracle-free structural analysis of the
+	// programmed LUT network. The flow's characterization fills it in,
+	// so the characterization cache carries it with the fabric; nil
+	// when the fabric was characterized without it.
+	Structural *structural.Report
 	// Utilizations for the Eq. 1 score.
 	IOUtil  float64
 	CLBUtil float64
@@ -242,13 +248,18 @@ func characterizeLUTs(ctx context.Context, n *netlist.Netlist, ln *techmap.LUTNe
 // synthesized fabric, typically to upgrade a fast-mode result to a full
 // implementation (possibly on a larger fabric if routing demands it).
 // The fabric's own family overrides o.Params: the LUT network was
-// mapped for that family's LUT size.
+// mapped for that family's LUT size. The new fabric keeps the
+// structural report, since its LUT network is the same.
 func Recharacterize(ctx context.Context, f *Fabric, o Options) (*Fabric, error) {
 	if o.MinW < f.Arch.W {
 		o.MinW = f.Arch.W
 	}
 	o.Params = f.Arch.Params()
-	return characterizeLUTs(ctx, f.Netlist, f.LUTs, f.Pins, o)
+	nf, err := characterizeLUTs(ctx, f.Netlist, f.LUTs, f.Pins, o)
+	if nf != nil {
+		nf.Structural = f.Structural
+	}
+	return nf, err
 }
 
 // Implement runs placement, routing, and bitstream generation on a

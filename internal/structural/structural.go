@@ -273,13 +273,20 @@ func Analyze(ln *techmap.LUTNetwork, opts Options) (*Report, error) {
 
 	rep := &Report{Iterations: rounds}
 	for i := range ln.Nodes {
+		if nd := &ln.Nodes[i]; nd.Kind == techmap.LLUT {
+			rep.KeyBits += 1 << uint(len(nd.In))
+		}
+	}
+	if rep.KeyBits > 0 {
+		rep.Bits = make([]Bit, 0, rep.KeyBits)
+	}
+	for i := range ln.Nodes {
 		nd := &ln.Nodes[i]
 		if nd.Kind != techmap.LLUT {
 			continue
 		}
 		li := &info[i]
 		rows := 1 << uint(len(nd.In))
-		rep.KeyBits += rows
 		for r := 0; r < rows; r++ {
 			b := Bit{LUT: int32(i), Row: r, Value: nd.Mask&(1<<uint(r)) != 0}
 			switch {
@@ -470,10 +477,7 @@ func markObservable(ln *techmap.LUTNetwork) []bool {
 // the cone — and are reported for pricing and inspection.
 func removalCandidates(ln *techmap.LUTNetwork, val []nval, observable []bool, rounds int, seed int64) []Removal {
 	n := len(ln.Nodes)
-	sigs := make([][]uint64, n)
-	for i := range sigs {
-		sigs[i] = make([]uint64, rounds)
-	}
+	sigs := make([]uint64, n*rounds) // node i's round r word at i*rounds+r
 	rng := rand.New(rand.NewSource(seed ^ 0x5ee1))
 	var ibuf [techmap.MaxK]uint64
 	for round := 0; round < rounds; round++ {
@@ -488,53 +492,66 @@ func removalCandidates(ln *techmap.LUTNetwork, val []nval, observable []bool, ro
 			case techmap.LLUT:
 				ins := ibuf[:len(nd.In)]
 				for k, in := range nd.In {
-					ins[k] = sigs[in][round]
+					ins[k] = sigs[int(in)*rounds+round]
 				}
 				w = techmap.EvalMaskWords(nd.Mask, ins)
 			}
-			sigs[i][round] = w
+			sigs[i*rounds+round] = w
 		}
 	}
 
 	// Structural cone hashes, ContentHash-style: kind, identity for
 	// nets (two different inputs are different hashes), mask plus child
 	// hashes for LUTs. Equal hashes prove equal cones over equal nets.
+	// Only signature matches need them, so they are computed on demand.
+	// A node's hash covers its inputs in node order: an input at or past
+	// the node (a flip-flop or primary input) contributes zeros.
 	chash := make([][sha256.Size]byte, n)
-	var hbuf [8]byte
-	for i := range ln.Nodes {
-		nd := &ln.Nodes[i]
+	hashed := make([]bool, n)
+	var zero [sha256.Size]byte
+	var coneHash func(id int32) *[sha256.Size]byte
+	coneHash = func(id int32) *[sha256.Size]byte {
+		if hashed[id] {
+			return &chash[id]
+		}
+		nd := &ln.Nodes[id]
+		var hbuf [8]byte
 		h := sha256.New()
 		h.Write([]byte{byte(nd.Kind)})
 		switch nd.Kind {
 		case techmap.LInput, techmap.LFF:
-			binary.LittleEndian.PutUint64(hbuf[:], uint64(i))
+			binary.LittleEndian.PutUint64(hbuf[:], uint64(id))
 			h.Write(hbuf[:])
 		case techmap.LLUT:
 			binary.LittleEndian.PutUint64(hbuf[:], nd.Mask)
 			h.Write(hbuf[:])
 			for _, in := range nd.In {
-				h.Write(chash[in][:])
+				c := &zero
+				if in < id {
+					c = coneHash(in)
+				}
+				h.Write(c[:])
 			}
 		}
-		h.Sum(chash[i][:0])
+		h.Sum(chash[id][:0])
+		hashed[id] = true
+		return &chash[id]
 	}
 
 	// First-seen signature index, both polarities. Keys are the packed
 	// signature words; iteration is in node order, so the reported
 	// EquivTo is always the earliest match and the output deterministic.
-	sigKey := func(id int32, inv bool) string {
-		b := make([]byte, 0, rounds*8)
-		for _, w := range sigs[id] {
+	key := make([]byte, 8*rounds)
+	sigKey := func(id int32, inv bool) []byte {
+		for r, w := range sigs[int(id)*rounds : (int(id)+1)*rounds] {
 			if inv {
 				w = ^w
 			}
-			var wb [8]byte
-			binary.LittleEndian.PutUint64(wb[:], w)
-			b = append(b, wb[:]...)
+			binary.LittleEndian.PutUint64(key[8*r:], w)
 		}
-		return string(b)
+		return key
 	}
-	first := make(map[string]int32)
+	first := make(map[string]int32, n)
 	var out []Removal
 	for i := range ln.Nodes {
 		nd := &ln.Nodes[i]
@@ -547,11 +564,11 @@ func removalCandidates(ln *techmap.LUTNetwork, val []nval, observable []bool, ro
 		isCand := nd.Kind == techmap.LLUT && observable[i] &&
 			!val[i].isConst && val[i].net == id && !val[i].neg
 		if isCand {
-			if j, ok := first[sigKey(id, false)]; ok {
-				out = append(out, Removal{Node: id, EquivTo: j, Structural: chash[id] == chash[j]})
+			if j, ok := first[string(sigKey(id, false))]; ok {
+				out = append(out, Removal{Node: id, EquivTo: j, Structural: *coneHash(id) == *coneHash(j)})
 				continue // one candidate row per node
 			}
-			if j, ok := first[sigKey(id, true)]; ok {
+			if j, ok := first[string(sigKey(id, true))]; ok {
 				out = append(out, Removal{Node: id, EquivTo: j, Inverted: true})
 				continue
 			}
@@ -559,8 +576,8 @@ func removalCandidates(ln *techmap.LUTNetwork, val []nval, observable []bool, ro
 		// Register as a target for later nodes (skip LUTs pass 2 already
 		// resolved: their representative net is registered instead).
 		if nd.Kind != techmap.LLUT || (val[i].net == id && !val[i].isConst) {
-			if _, ok := first[sigKey(id, false)]; !ok {
-				first[sigKey(id, false)] = id
+			if _, ok := first[string(sigKey(id, false))]; !ok {
+				first[string(key)] = id
 			}
 		}
 	}

@@ -623,10 +623,11 @@ func (s *Server) runJob(ctx context.Context, job *jobq.Job) ([]byte, error) {
 	return raw, nil
 }
 
-// structuralVerdict projects a selection-time structural report onto
-// the API view. Selection analyzes every characterized fabric, so a
-// missing report (a candidate predating the analyzer in a persisted
-// cache) degrades to a zeroed verdict rather than failing the job.
+// structuralVerdict projects a fabric's structural report onto the API
+// view. Characterization analyzes every fabric and the disk tier keeps
+// the report; selection analyzes a fabric from an older record that
+// lacks one. A candidate still without a report (its analysis failed)
+// degrades to a zeroed verdict rather than failing the job.
 func structuralVerdict(fc *alice.FabricCandidate) StructuralVerdict {
 	arch := fc.Fabric.Arch
 	v := StructuralVerdict{

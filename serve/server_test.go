@@ -7,12 +7,15 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"alice"
+	"alice/internal/openfpga"
 	"alice/internal/store"
 )
 
@@ -199,48 +202,51 @@ func TestMemoizationAcrossRestart(t *testing.T) {
 	}
 }
 
-// TestTieredCacheReadThrough proves the Engine-facing cache property:
-// a fresh memory tier over an existing store serves characterizations
-// from disk (promoting them), so the flow re-runs without
-// characterizing from scratch.
-func TestTieredCacheReadThrough(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "cache.store")
+// gcdThroughStore runs gcd under cfg1 with a TieredCache over the store
+// at path, wrapped by wrap when it is not nil, and returns the report
+// and the tiered cache.
+func gcdThroughStore(t *testing.T, path string, wrap func(*TieredCache) alice.Cache) (*alice.Report, *TieredCache) {
+	t.Helper()
 	b, _ := alice.BenchmarkByName("gcd")
 	cfg := alice.Cfg1()
 	cfg.SelectedOutputs = b.SelectedOutputs
-
-	st1, err := store.Open(path, store.Options{NoSync: true})
+	st, err := store.Open(path, store.Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc1 := NewTieredCache(nil, st1)
-	eng1 := alice.NewEngine(alice.WithConfig(cfg), alice.WithCache(tc1))
-	rep1, err := eng1.RunSource(context.Background(), b.Source())
-	if err != nil {
-		t.Fatalf("first run: %v", err)
+	t.Cleanup(func() { st.Close() })
+	tc := NewTieredCache(nil, st)
+	var c alice.Cache = tc
+	if wrap != nil {
+		c = wrap(tc)
 	}
-	_, _, entries := tc1.Stats()
-	if entries == 0 {
+	rep, err := alice.NewEngine(alice.WithConfig(cfg), alice.WithCache(c)).RunSource(context.Background(), b.Source())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Selection == nil {
+		t.Fatalf("gcd flow stopped before selection: %v", rep.Err)
+	}
+	return rep, tc
+}
+
+// TestTieredCacheReadThrough proves the Engine-facing cache property:
+// a fresh memory tier over an existing store serves characterizations
+// from disk (promoting them), so the flow re-runs without
+// characterizing from scratch, and every fabric read back carries the
+// structural report it was stored with.
+func TestTieredCacheReadThrough(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cache.store")
+	rep1, tc1 := gcdThroughStore(t, path, nil)
+	if _, _, entries := tc1.Stats(); entries == 0 {
 		t.Fatalf("first run stored no characterizations")
 	}
-	if err := st1.Close(); err != nil {
+	if err := tc1.st.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	st2, err := store.Open(path, store.Options{NoSync: true})
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer st2.Close()
-	tc2 := NewTieredCache(nil, st2)
-	eng2 := alice.NewEngine(alice.WithConfig(cfg), alice.WithCache(tc2))
-	rep2, err := eng2.RunSource(context.Background(), b.Source())
-	if err != nil {
-		t.Fatalf("second run: %v", err)
-	}
-	hits, _, _ := tc2.DiskStats()
-	if hits == 0 {
+	rep2, tc2 := gcdThroughStore(t, path, nil)
+	if hits, _, _ := tc2.DiskStats(); hits == 0 {
 		t.Fatalf("second run hit the disk tier 0 times")
 	}
 	if rep1.FabricSizes != rep2.FabricSizes {
@@ -248,6 +254,85 @@ func TestTieredCacheReadThrough(t *testing.T) {
 	}
 	if _, _, entries := tc2.Stats(); entries == 0 {
 		t.Fatalf("disk hits were not promoted into the memory tier")
+	}
+	for i, c1 := range rep1.Selection.Candidates {
+		if c1.Fabric == nil {
+			continue
+		}
+		got := rep2.Selection.Candidates[i].Fabric.Structural
+		if got == nil || !reflect.DeepEqual(got, c1.Fabric.Structural) {
+			t.Errorf("candidate %d: disk record's report %v, stored %v", i, got, c1.Fabric.Structural)
+		}
+	}
+}
+
+// reportlessCache writes every fabric without its structural report,
+// as a daemon from before characterization analyzed did, and records
+// the keys it stored. The characterization workers call Store
+// concurrently.
+type reportlessCache struct {
+	*TieredCache
+	mu   sync.Mutex
+	keys []string
+}
+
+func (r *reportlessCache) Store(key string, fab *openfpga.Fabric, err error) {
+	if fab != nil {
+		bare := *fab
+		bare.Structural = nil
+		fab = &bare
+	}
+	r.mu.Lock()
+	r.keys = append(r.keys, key)
+	r.mu.Unlock()
+	r.TieredCache.Store(key, fab, err)
+}
+
+// TestTieredCacheReportlessRecords: a disk record written without a
+// structural report decodes without one, and the flow over it fills the
+// report in with the verdicts a fresh characterization gets — the path
+// of a daemon upgraded over an old data directory.
+func TestTieredCacheReportlessRecords(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cache.store")
+	var old *reportlessCache
+	rep1, tc1 := gcdThroughStore(t, path, func(tc *TieredCache) alice.Cache {
+		old = &reportlessCache{TieredCache: tc}
+		return old
+	})
+	if err := tc1.st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st, err := store.Open(path, store.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc := NewTieredCache(nil, st)
+	for _, key := range old.keys {
+		fab, _, ok := tc.Lookup(key)
+		if !ok {
+			t.Fatalf("record %q missing from the disk tier", key)
+		}
+		if fab != nil && fab.Structural != nil {
+			t.Fatalf("record %q decoded with a report it was written without", key)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	rep2, _ := gcdThroughStore(t, path, nil)
+	for i, c1 := range rep1.Selection.Candidates {
+		if c1.Fabric == nil {
+			continue
+		}
+		c2 := rep2.Selection.Candidates[i]
+		if c2.Structural == nil || !reflect.DeepEqual(c2.Structural, c1.Structural) {
+			t.Errorf("candidate %d: report %v over an old record, want %v", i, c2.Structural, c1.Structural)
+		}
+	}
+	if rep1.FabricSizes != rep2.FabricSizes {
+		t.Errorf("run over old records selected %q, want %q", rep2.FabricSizes, rep1.FabricSizes)
 	}
 }
 
