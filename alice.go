@@ -83,8 +83,8 @@ type FabricCandidate = core.FabricCandidate
 // ArchParams is the width-independent description of a fabric family
 // (LUT size, BLEs per CLB, CLB inputs, channel-width policy). The zero
 // value is the paper's 4-LUT, 4-BLE family; sweep it with
-// WithArchSpace or Config.ArchSpace to trade SAT-attack resilience
-// against area, as in "Not All Fabrics Are Created Equal".
+// Config.ArchSpace to trade SAT-attack resilience against area, as in
+// "Not All Fabrics Are Created Equal".
 type ArchParams = fabric.Params
 
 // Arch is one concrete fabric configuration (a family instantiated at
@@ -180,7 +180,8 @@ func NewCharacterizationCache() *CharacterizationCache {
 	return core.NewCharacterizationCache()
 }
 
-// Score directions for eFPGA ranking (see DESIGN.md on Eq. 1).
+// Score directions for eFPGA ranking: Eq. 1 read as a utilization
+// reward to maximize (the default), or as printed, a slack to minimize.
 const (
 	ScoreMaximize = core.ScoreMaximize
 	ScoreMinimize = core.ScoreMinimize

@@ -1,7 +1,8 @@
 // Benchmarks regenerating every table and figure of the ALICE paper
-// (DAC 2022) plus the ablations called out in DESIGN.md. Each benchmark
+// (DAC 2022) plus ablations of the flow's choices (score direction, I/O
+// budget, Eq. 1 weights, fast vs full characterization). Each benchmark
 // logs the regenerated rows so `go test -bench . -benchmem` doubles as
-// the experiment harness behind EXPERIMENTS.md.
+// an experiment harness.
 package alice_test
 
 import (

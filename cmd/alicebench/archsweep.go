@@ -45,7 +45,8 @@ func runArchSweep(w io.Writer, designName string) {
 			defer wg.Done()
 			cfg := alice.Cfg1()
 			cfg.SelectedOutputs = b.SelectedOutputs
-			eng := alice.NewEngine(alice.WithConfig(cfg), alice.WithArchSpace(fam))
+			cfg.ArchSpace = []alice.ArchParams{fam}
+			eng := alice.NewEngine(alice.WithConfig(cfg))
 			rep, err := eng.RunSource(ctx, b.Source())
 			check(err)
 			if rep.Err != nil || rep.Solution == nil {

@@ -2,8 +2,10 @@ package alice
 
 import (
 	"context"
+	"errors"
 	"runtime"
 	"sync"
+	"time"
 
 	"alice/internal/core"
 	"alice/internal/rtl"
@@ -28,24 +30,10 @@ import (
 // An Engine is safe for concurrent use: each run only reads the
 // configuration and shares the (internally locked) cache.
 type Engine struct {
-	cfg          *Config
-	parallelism  int
-	observer     Observer
-	cache        Cache
-	archSpace    []ArchParams
-	archSpaceSet bool
-}
-
-// effectiveConfig returns the configuration runs actually use: the
-// engine's config, with WithArchSpace (when given) overlaid on a copy
-// so the caller's Config is never mutated.
-func (e *Engine) effectiveConfig() *Config {
-	if !e.archSpaceSet {
-		return e.cfg
-	}
-	c := *e.cfg
-	c.ArchSpace = e.archSpace
-	return &c
+	cfg         *Config
+	parallelism int
+	observer    Observer
+	cache       Cache
 }
 
 // Option configures an Engine.
@@ -95,23 +83,6 @@ func WithCache(c Cache) Option {
 	return func(e *Engine) { e.cache = c }
 }
 
-// WithArchSpace sets the engine's architecture space: every cluster is
-// characterized against each family (on top of the width sweep) and
-// selection picks across the whole (arch, W) grid. The families are
-// stored on the engine and overlaid on the configuration at run time,
-// so the option composes in any order with WithConfig and never
-// mutates the caller's Config. No families means the configuration's
-// own ArchSpace (or the paper's single default family).
-func WithArchSpace(families ...ArchParams) Option {
-	return func(e *Engine) {
-		if len(families) == 0 {
-			return // keep the configuration's own ArchSpace, as documented
-		}
-		e.archSpace = append([]ArchParams(nil), families...)
-		e.archSpaceSet = true
-	}
-}
-
 // NewEngine builds an Engine from options.
 func NewEngine(opts ...Option) *Engine {
 	e := &Engine{
@@ -122,9 +93,8 @@ func NewEngine(opts ...Option) *Engine {
 		o(e)
 	}
 	if e.observer != nil {
-		// Serialize here, at the engine level, so the no-locking
-		// guarantee also holds across the concurrent runs of RunBatch
-		// (each pipeline run only serializes its own events).
+		// The one serialization point: characterization workers and
+		// RunBatch's engine copies all deliver through it.
 		var mu sync.Mutex
 		inner := e.observer
 		e.observer = func(ev Event) {
@@ -139,20 +109,169 @@ func NewEngine(opts ...Option) *Engine {
 // Config returns the engine's configuration.
 func (e *Engine) Config() *Config { return e.cfg }
 
-func (e *Engine) runOptions() core.RunOptions {
-	return core.RunOptions{
-		Parallelism: e.parallelism,
-		Observer:    e.observer,
-		Cache:       e.cache,
+// Run executes the complete flow on a parsed design. It validates the
+// configuration, then calls the stage methods in order: Elaborate,
+// Filter, Cluster, Characterize, Select, Implement (when
+// Config.ImplementWinner is set) and Redact. Flow diagnostics (no
+// candidates, no admissible solution, ...) land in Report.Err as
+// stage-attributed errors; hard failures — bad configuration,
+// elaboration and dataflow errors, context cancellation — are returned
+// as the error.
+func (e *Engine) Run(ctx context.Context, ast *verilog.Design) (*Report, error) {
+	if err := e.cfg.Validate(); err != nil {
+		return nil, err
+	}
+	d, err := e.Elaborate(ctx, ast)
+	if err != nil {
+		return nil, err
+	}
+	rep := &Report{Design: d.Top.Name, Instances: len(d.NonRootInstances())}
+	if err := e.runStages(ctx, d, rep); err != nil {
+		return nil, err
+	}
+	return rep, nil
+}
+
+// runStages runs the stages after elaboration, filling rep. It returns
+// only hard failures: a stage diagnostic lands in rep.Err and ends the
+// flow with a nil error.
+func (e *Engine) runStages(ctx context.Context, d *ElaboratedDesign, rep *Report) error {
+	// Phase 1: module filtering, the dataflow analysis included (the
+	// paper's time accounting).
+	var fr *FilterResult
+	var err error
+	rep.FilterTime, err = e.stage(ctx, rep, StageFilter, func() (n int, err error) {
+		if fr, err = e.Filter(ctx, d); err != nil {
+			return 0, err
+		}
+		return len(fr.Candidates), nil
+	})
+	if err != nil || rep.Err != nil {
+		return err
+	}
+	rep.Filter, rep.R = fr, len(fr.Candidates)
+	if rep.R == 0 {
+		rep.Err = stageErr(StageFilter, rep.Design, ErrNoCandidates)
+		return nil
+	}
+
+	// Phase 2: cluster identification.
+	var clusters []Cluster
+	rep.ClusterTime, err = e.stage(ctx, rep, StageCluster, func() (n int, err error) {
+		clusters, err = e.Cluster(ctx, fr)
+		return len(clusters), err
+	})
+	if err != nil || rep.Err != nil {
+		return err
+	}
+	rep.Clusters, rep.C = clusters, len(clusters)
+	if rep.C == 0 {
+		rep.Err = stageErr(StageCluster, rep.Design, ErrNoCluster)
+		return nil
+	}
+
+	// Phase 3: eFPGA characterization plus selection, one phase in the
+	// paper's time accounting, so SelectTime covers both.
+	var cands []FabricCandidate
+	rep.CharacterizeTime, err = e.stage(ctx, rep, StageCharacterize, func() (n int, err error) {
+		cands, err = e.Characterize(ctx, d, clusters)
+		return len(cands), err
+	})
+	if err != nil || rep.Err != nil {
+		return err
+	}
+	var sel *SelectionResult
+	selectTime, err := e.stage(ctx, rep, StageSelect, func() (n int, err error) {
+		if sel, err = e.Select(ctx, cands); sel != nil {
+			n = sel.SolutionCount
+		}
+		return n, err
+	})
+	rep.SelectTime = rep.CharacterizeTime + selectTime
+	rep.Selection = sel
+	if sel != nil {
+		rep.ValidEFPGAs, rep.S = sel.ValidCount, sel.SolutionCount
+	}
+	if err != nil || rep.Err != nil {
+		return err
+	}
+	rep.Solution = sel.Best
+	rep.FabricSizes = sel.Best.FabricSizes()
+	rep.Redacted = len(sel.Best.RedactedInstances())
+
+	if e.cfg.ImplementWinner {
+		_, err = e.stage(ctx, rep, StageImplement, func() (int, error) {
+			err := e.Implement(ctx, sel.Best)
+			return len(sel.Best.Fabrics), err
+		})
+		if err != nil || rep.Err != nil {
+			return err
+		}
+	}
+
+	_, err = e.stage(ctx, rep, StageRedact, func() (int, error) {
+		red, err := e.Redact(ctx, d, sel.Best, false)
+		if err != nil {
+			return 0, err
+		}
+		rep.Redaction = red
+		return rep.Redacted, nil
+	})
+	return err
+}
+
+// stage runs f, one stage method, between the stage's start and end
+// events and returns its duration. The clock is read once, so the end
+// event's Duration and the Report field that stores the result hold
+// the same number. f returns the stage's result count. A failure under
+// a cancelled context returns the context's error, and one marked
+// hardError returns its cause, both without an end event; any other
+// failure becomes the report's stage-attributed diagnostic and rides
+// on the end event with a zero count.
+func (e *Engine) stage(ctx context.Context, rep *Report, s Stage, f func() (int, error)) (time.Duration, error) {
+	e.emit(Event{Kind: EventStageStart, Stage: s, Design: rep.Design})
+	t0 := time.Now()
+	n, err := f()
+	took := time.Since(t0)
+	if err != nil {
+		if ctx.Err() != nil {
+			return took, ctx.Err()
+		}
+		var h hardError
+		if errors.As(err, &h) {
+			return took, h.error
+		}
+		rep.Err = stageErr(s, rep.Design, err)
+		n = 0
+	}
+	e.emit(Event{Kind: EventStageEnd, Stage: s, Design: rep.Design, Duration: took, Count: n, Err: rep.Err})
+	return took, nil
+}
+
+// emit delivers one event to the observer, if there is one.
+func (e *Engine) emit(ev Event) {
+	if e.observer != nil {
+		e.observer(ev)
 	}
 }
 
-// Run executes the complete flow on a parsed design. Flow diagnostics
-// (no candidates, no admissible solution, ...) land in Report.Err as
-// stage-attributed errors; hard failures — bad configuration,
-// elaboration errors, context cancellation — are returned as the error.
-func (e *Engine) Run(ctx context.Context, ast *verilog.Design) (*Report, error) {
-	return core.RunPipeline(ctx, ast, e.effectiveConfig(), e.runOptions())
+// hardError marks a stage method's failure that is not the stage's
+// diagnostic: Run returns its cause as the run's error.
+type hardError struct{ error }
+
+func (h hardError) Unwrap() error { return h.error }
+
+// stageErr wraps err with stage/design attribution, passing nil through
+// and leaving an existing *FlowError of the same stage untouched.
+func stageErr(stage Stage, design string, err error) error {
+	if err == nil {
+		return nil
+	}
+	var fe *FlowError
+	if errors.As(err, &fe) {
+		return err
+	}
+	return &FlowError{Stage: stage, Design: design, Err: err}
 }
 
 // RunSource parses Verilog text and executes the complete flow.
@@ -174,11 +293,13 @@ func (e *Engine) Elaborate(ctx context.Context, ast *verilog.Design) (*Elaborate
 }
 
 // Filter runs module filtering (Algorithm 1), including the dataflow
-// analysis that scores modules by the selected outputs they affect.
+// analysis that scores modules by the selected outputs they affect. A
+// failed dataflow analysis is not a filtering diagnostic: Run returns
+// it as a hard error.
 func (e *Engine) Filter(ctx context.Context, d *ElaboratedDesign) (*FilterResult, error) {
 	df, err := rtl.NewDataflow(ctx, d)
 	if err != nil {
-		return nil, err
+		return nil, hardError{err}
 	}
 	return core.FilterModules(ctx, d, df, e.cfg)
 }
@@ -189,14 +310,20 @@ func (e *Engine) Cluster(ctx context.Context, fr *FilterResult) ([]Cluster, erro
 	return core.IdentifyClusters(ctx, fr.Candidates, e.cfg)
 }
 
-// Characterize runs the eFPGA oracle on every cluster, in parallel up
-// to the engine's parallelism and through its cache when one is
-// attached. The result order matches the cluster order.
+// Characterize runs the eFPGA oracle on every cluster, against every
+// family of the configuration's architecture space, in parallel up to
+// the engine's parallelism and through its cache when one is attached.
+// The result is cluster-major, family-minor. The observer gets one
+// progress event per (cluster, family) slot.
 func (e *Engine) Characterize(ctx context.Context, d *ElaboratedDesign, clusters []Cluster) ([]FabricCandidate, error) {
-	return core.CharacterizeClusters(ctx, d, clusters, e.effectiveConfig(), core.CharacterizeOptions{
-		Parallelism: e.parallelism,
-		Cache:       e.cache,
-	})
+	co := core.CharacterizeOptions{Parallelism: e.parallelism, Cache: e.cache}
+	if e.observer != nil {
+		co.Progress = func(done, total int) {
+			e.observer(Event{Kind: EventProgress, Stage: StageCharacterize, Design: d.Top.Name,
+				Done: done, Total: total})
+		}
+	}
+	return core.CharacterizeClusters(ctx, d, clusters, e.cfg, co)
 }
 
 // Select ranks the characterized fabrics with Eq. 1 and enumerates
@@ -261,27 +388,22 @@ func (e *Engine) RunBatch(ctx context.Context, jobs []BatchJob) []BatchResult {
 			results[i].Err = err
 			return
 		}
-		cfg := job.Config
-		if cfg == nil {
-			cfg = e.effectiveConfig()
-		}
 		ast := job.AST
 		if ast == nil {
 			var err error
-			ast, err = verilog.Parse(job.Source)
-			if err != nil {
+			if ast, err = verilog.Parse(job.Source); err != nil {
 				results[i].Err = err
 				return
 			}
 		}
-		opts := e.runOptions()
-		// The batch already fans out across designs; keep each
-		// design's characterization and implementation sequential to
-		// avoid oversubscribing the pool.
-		opts.Parallelism = 1
-		rep, err := core.RunPipeline(ctx, ast, cfg, opts)
-		results[i].Report = rep
-		results[i].Err = err
+		// The batch already fans out across designs, so each design
+		// runs through a sequential copy of the engine.
+		eng := *e
+		eng.parallelism = 1
+		if job.Config != nil {
+			eng.cfg = job.Config
+		}
+		results[i].Report, results[i].Err = eng.Run(ctx, ast)
 	})
 	return results
 }

@@ -3,6 +3,7 @@ package alice_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -44,82 +45,56 @@ func equivCfgs(benchName string) []*alice.Config {
 	return []*alice.Config{c1, c2}
 }
 
-// TestEngineMatchesLegacyRun checks the headline compatibility claim:
-// the staged Engine pipeline at parallelism 4 produces the same Table-2
-// row (modulo timing), the same fabrics, and the same redacted
-// instances as the sequential one-shot run, for every paper benchmark
-// under both configurations.
-func TestEngineMatchesLegacyRun(t *testing.T) {
+// TestParallelCharacterizationEquivalence proves the worker pool is
+// purely a speedup: for every paper benchmark under both
+// configurations, runs at parallelism 4 and 8 produce the sequential
+// run's Table-2 row (modulo timing), diagnostic, score, fabrics and
+// redacted instances.
+func TestParallelCharacterizationEquivalence(t *testing.T) {
 	ctx := context.Background()
 	for _, bm := range alice.Benchmarks() {
-		for ci, cfgEngine := range equivCfgs(bm.Name) {
-			cfgLegacy := equivCfgs(bm.Name)[ci]
-			cfgEngine.SelectedOutputs = bm.SelectedOutputs
-			cfgLegacy.SelectedOutputs = bm.SelectedOutputs
-
-			ast, err := alice.Parse(bm.Source())
-			if err != nil {
-				t.Fatalf("%s: %v", bm.Name, err)
-			}
-			legacy, err := alice.NewEngine(alice.WithConfig(cfgLegacy), alice.WithParallelism(1)).Run(ctx, ast)
-			if err != nil {
-				t.Fatalf("%s cfg%d legacy: %v", bm.Name, ci+1, err)
-			}
-
-			eng := alice.NewEngine(alice.WithConfig(cfgEngine), alice.WithParallelism(4))
-			staged, err := eng.Run(ctx, ast)
-			if err != nil {
-				t.Fatalf("%s cfg%d engine: %v", bm.Name, ci+1, err)
-			}
-
-			if got, want := normalizedRow(staged), normalizedRow(legacy); got != want {
-				t.Errorf("%s cfg%d: engine row\n  %q\nlegacy row\n  %q", bm.Name, ci+1, got, want)
-			}
-			if (staged.Err == nil) != (legacy.Err == nil) {
-				t.Errorf("%s cfg%d: diagnostic mismatch: engine %v, legacy %v",
-					bm.Name, ci+1, staged.Err, legacy.Err)
-			}
-			if gp, lp := redactedPaths(staged.Solution), redactedPaths(legacy.Solution); strings.Join(gp, ",") != strings.Join(lp, ",") {
-				t.Errorf("%s cfg%d: redacted instances differ: engine %v, legacy %v",
-					bm.Name, ci+1, gp, lp)
-			}
-		}
-	}
-}
-
-// TestParallelCharacterizationEquivalence proves the worker pool is
-// purely a speedup: parallel and sequential characterization select the
-// same solutions with the same scores.
-func TestParallelCharacterizationEquivalence(t *testing.T) {
-	b, _ := alice.BenchmarkByName("gcd")
-	ctx := context.Background()
-
-	var reports []*alice.Report
-	for _, par := range []int{1, 8} {
-		cfg := alice.Cfg1()
-		cfg.SelectedOutputs = b.SelectedOutputs
-		eng := alice.NewEngine(alice.WithConfig(cfg), alice.WithParallelism(par))
-		rep, err := eng.RunSource(ctx, b.Source())
+		ast, err := alice.Parse(bm.Source())
 		if err != nil {
-			t.Fatalf("parallelism %d: %v", par, err)
+			t.Fatalf("%s: %v", bm.Name, err)
 		}
-		if rep.Err != nil {
-			t.Fatalf("parallelism %d: %v", par, rep.Err)
+		for ci := range equivCfgs(bm.Name) {
+			run := func(par int) *alice.Report {
+				cfg := equivCfgs(bm.Name)[ci]
+				cfg.SelectedOutputs = bm.SelectedOutputs
+				rep, err := alice.NewEngine(alice.WithConfig(cfg), alice.WithParallelism(par)).Run(ctx, ast)
+				if err != nil {
+					t.Fatalf("%s cfg%d parallelism %d: %v", bm.Name, ci+1, par, err)
+				}
+				return rep
+			}
+			seq := run(1)
+			if bm.Name == "gcd" && seq.Err != nil {
+				// gcd has a solution under both configurations, so the
+				// score comparison below is never vacuous.
+				t.Fatalf("gcd cfg%d: %v", ci+1, seq.Err)
+			}
+			for _, par := range []int{4, 8} {
+				rep := run(par)
+				if got, want := normalizedRow(rep), normalizedRow(seq); got != want {
+					t.Errorf("%s cfg%d parallelism %d: row\n  %q\nsequential row\n  %q", bm.Name, ci+1, par, got, want)
+				}
+				if fmt.Sprint(rep.Err) != fmt.Sprint(seq.Err) {
+					t.Errorf("%s cfg%d parallelism %d: diagnostic %v, sequential %v", bm.Name, ci+1, par, rep.Err, seq.Err)
+				}
+				if (rep.Solution == nil) != (seq.Solution == nil) {
+					t.Fatalf("%s cfg%d parallelism %d: solution %v, sequential %v", bm.Name, ci+1, par, rep.Solution, seq.Solution)
+				}
+				if seq.Solution != nil && rep.Solution.Score != seq.Solution.Score {
+					t.Errorf("%s cfg%d parallelism %d: score %v, sequential %v", bm.Name, ci+1, par, rep.Solution.Score, seq.Solution.Score)
+				}
+				if rep.FabricSizes != seq.FabricSizes {
+					t.Errorf("%s cfg%d parallelism %d: fabrics %s, sequential %s", bm.Name, ci+1, par, rep.FabricSizes, seq.FabricSizes)
+				}
+				if got, want := redactedPaths(rep.Solution), redactedPaths(seq.Solution); strings.Join(got, ",") != strings.Join(want, ",") {
+					t.Errorf("%s cfg%d parallelism %d: redacted instances %v, sequential %v", bm.Name, ci+1, par, got, want)
+				}
+			}
 		}
-		reports = append(reports, rep)
-	}
-	seq, par := reports[0], reports[1]
-	if a, b := normalizedRow(seq), normalizedRow(par); a != b {
-		t.Errorf("rows differ:\n  seq %q\n  par %q", a, b)
-	}
-	if seq.Solution.Score != par.Solution.Score {
-		t.Errorf("scores differ: seq %v, par %v", seq.Solution.Score, par.Solution.Score)
-	}
-	if a, b := redactedPaths(seq.Solution), redactedPaths(par.Solution); strings.Join(a, ",") != strings.Join(b, ",") {
-		t.Errorf("redacted instances differ: seq %v, par %v", a, b)
-	}
-	if seq.FabricSizes != par.FabricSizes {
-		t.Errorf("fabrics differ: seq %s, par %s", seq.FabricSizes, par.FabricSizes)
 	}
 }
 
@@ -317,6 +292,117 @@ func TestObserverEvents(t *testing.T) {
 	if progress != rep.C {
 		t.Errorf("progress events = %d, want one per cluster (%d)", progress, rep.C)
 	}
+
+	// Each stage reads the clock once: its end event's Duration is its
+	// Report field, and SelectTime adds the select stage to
+	// characterization (the paper's phase-3 accounting).
+	took := map[alice.Stage]time.Duration{}
+	for _, ev := range events {
+		if ev.Kind == alice.EventStageEnd {
+			took[ev.Stage] = ev.Duration
+		}
+	}
+	for _, c := range []struct {
+		stage alice.Stage
+		field time.Duration
+	}{
+		{alice.StageFilter, rep.FilterTime},
+		{alice.StageCluster, rep.ClusterTime},
+		{alice.StageCharacterize, rep.CharacterizeTime},
+		{alice.StageSelect, rep.SelectTime - rep.CharacterizeTime},
+	} {
+		if took[c.stage] != c.field {
+			t.Errorf("%s end event lasted %v, report field %v", c.stage, took[c.stage], c.field)
+		}
+	}
+	if rep.SelectTime != rep.CharacterizeTime+took[alice.StageSelect] {
+		t.Errorf("SelectTime %v != CharacterizeTime %v + select %v", rep.SelectTime, rep.CharacterizeTime, took[alice.StageSelect])
+	}
+
+	// Characterize called on its own reports progress too: one event
+	// per (cluster, family) slot, and nothing else.
+	cfg.ArchSpace = []alice.ArchParams{{LUTSize: 3}, {LUTSize: 4}}
+	ctx := context.Background()
+	ast, err := alice.Parse(b.Source())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := eng.Elaborate(ctx, ast)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events = nil
+	cands, err := eng.Characterize(ctx, d, rep.Clusters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 2 * rep.C; len(cands) != want {
+		t.Fatalf("characterized %d slots, want %d", len(cands), want)
+	}
+	for i, ev := range events {
+		if ev.Kind != alice.EventProgress || ev.Stage != alice.StageCharacterize || ev.Design != rep.Design ||
+			ev.Done != i+1 || ev.Total != len(cands) {
+			t.Errorf("standalone characterization event %d = %+v", i, ev)
+		}
+	}
+	if len(events) != len(cands) {
+		t.Errorf("standalone characterization sent %d events, want one per slot (%d)", len(events), len(cands))
+	}
+}
+
+// TestRunBatchObserver runs a batch under an observer that appends to
+// an unlocked slice, so the race detector fails it unless event
+// delivery is serialized across the batch's concurrent designs. Each
+// design's events, durations aside, must be its solo run's.
+func TestRunBatchObserver(t *testing.T) {
+	ctx := context.Background()
+	var events []alice.Event
+	record := alice.WithObserver(func(ev alice.Event) { events = append(events, ev) })
+	// of lists one design's events in order, without durations.
+	of := func(design string) []string {
+		var out []string
+		for _, ev := range events {
+			if ev.Design == design {
+				out = append(out, fmt.Sprintf("%d %s count=%d done=%d/%d err=%v",
+					ev.Kind, ev.Stage, ev.Count, ev.Done, ev.Total, ev.Err))
+			}
+		}
+		return out
+	}
+
+	names := []string{"gcd", "sasc", "iir", "usb_phy"}
+	var jobs []alice.BatchJob
+	for _, n := range names {
+		b, ok := alice.BenchmarkByName(n)
+		if !ok {
+			t.Fatalf("benchmark %s missing", n)
+		}
+		cfg := alice.Cfg1()
+		cfg.SelectedOutputs = b.SelectedOutputs
+		jobs = append(jobs, alice.BatchJob{Name: n, Source: b.Source(), Config: cfg})
+	}
+	results := alice.NewEngine(alice.WithParallelism(4), record).RunBatch(ctx, jobs)
+	batch := map[string][]string{}
+	for i, r := range results {
+		if r.Err != nil {
+			t.Fatalf("%s: hard error %v", names[i], r.Err)
+		}
+		batch[r.Report.Design] = of(r.Report.Design)
+	}
+
+	for i, job := range jobs {
+		events = nil
+		solo, err := alice.NewEngine(alice.WithConfig(job.Config), record).RunSource(ctx, job.Source)
+		if err != nil {
+			t.Fatalf("%s solo: %v", names[i], err)
+		}
+		want := of(solo.Design)
+		got := batch[solo.Design]
+		if len(want) == 0 || strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("%s: batch events\n  %s\nsolo events\n  %s", names[i],
+				strings.Join(got, "\n  "), strings.Join(want, "\n  "))
+		}
+	}
 }
 
 // TestCharacterizationCache checks the characterize-once / select-twice
@@ -423,7 +509,8 @@ func TestArchSpaceEngine(t *testing.T) {
 	run := func(space []alice.ArchParams, cache *alice.CharacterizationCache) *alice.Report {
 		cfg := alice.Cfg1()
 		cfg.SelectedOutputs = bm.SelectedOutputs
-		opts := []alice.Option{alice.WithConfig(cfg), alice.WithArchSpace(space...)}
+		cfg.ArchSpace = space
+		opts := []alice.Option{alice.WithConfig(cfg)}
 		if cache != nil {
 			opts = append(opts, alice.WithCache(cache))
 		}

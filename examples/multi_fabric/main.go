@@ -49,9 +49,9 @@ func main() {
 		// Keep the exploration small for this demo: clusters of at most
 		// three S-boxes (36 aggregated pins).
 		cfg.MaxIOPins = 36
+		cfg.ArchSpace = sp.families
 		eng := alice.NewEngine(
 			alice.WithConfig(cfg),
-			alice.WithArchSpace(sp.families...),
 			alice.WithParallelism(runtime.GOMAXPROCS(0)),
 		)
 		rep, err := eng.RunSource(ctx, b.Source())
@@ -103,7 +103,8 @@ func main() {
 	for _, fam := range []alice.ArchParams{{LUTSize: 3}, {LUTSize: 5}, {LUTSize: 6}} {
 		cfg := alice.Cfg1()
 		cfg.SelectedOutputs = g.SelectedOutputs
-		eng := alice.NewEngine(alice.WithConfig(cfg), alice.WithArchSpace(fam))
+		cfg.ArchSpace = []alice.ArchParams{fam}
+		eng := alice.NewEngine(alice.WithConfig(cfg))
 		rep, err := eng.RunSource(ctx, g.Source())
 		if err != nil {
 			log.Fatal(err)

@@ -48,11 +48,8 @@ func main() {
 			cfg.SelectedOutputs = b.SelectedOutputs
 			cfg.DelayWeight = gamma
 			cfg.TimingDriven = td
-			eng := alice.NewEngine(
-				alice.WithConfig(cfg),
-				alice.WithCache(cache),
-				alice.WithArchSpace(space...),
-			)
+			cfg.ArchSpace = space
+			eng := alice.NewEngine(alice.WithConfig(cfg), alice.WithCache(cache))
 			rep, err := eng.RunSource(ctx, b.Source())
 			if err != nil {
 				log.Fatal(err)

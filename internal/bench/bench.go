@@ -5,7 +5,7 @@
 // module, so each design is rebuilt to match the structural
 // characteristics the flow depends on — module count, instance count,
 // and per-module I/O pin counts — with functional logic of comparable
-// volume (see DESIGN.md, substitutions). S-box and coefficient tables
+// volume. S-box and coefficient tables
 // are deterministic but representative, not standards-accurate.
 package bench
 
@@ -19,7 +19,8 @@ type Benchmark struct {
 	Source func() string
 	// SelectedOutputs are the protected outputs fed to module filtering.
 	SelectedOutputs []string
-	// Table1 rows from the paper, for EXPERIMENTS.md comparison.
+	// Table1 rows from the paper, which BenchmarkTable1Characteristics
+	// prints beside the reconstruction's.
 	PaperModules   int
 	PaperInstances int
 	PaperMinPins   int

@@ -25,7 +25,7 @@ const (
 	ScoreMaximize ScoreDirection = iota
 	// ScoreMinimize takes Eq. 1 literally as printed (a slack from the
 	// best utilizations) and minimizes its sum; kept for the ablation
-	// bench. See DESIGN.md for the discussion of the discrepancy.
+	// bench. ScoreMaximize above says why it is not the default.
 	ScoreMinimize
 )
 

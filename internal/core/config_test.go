@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"strings"
 	"testing"
 )
@@ -121,32 +120,6 @@ func TestLoadConfigTable(t *testing.T) {
 			}
 			tc.check(t, cfg)
 		})
-	}
-}
-
-// TestFlowErrorWrapping checks the stage-attribution helper: sentinels
-// survive errors.Is through the wrapper, and double-wrapping is
-// avoided.
-func TestFlowErrorWrapping(t *testing.T) {
-	err := stageErr(StageSelect, "gcd", ErrNoSolution)
-	if !errors.Is(err, ErrNoSolution) {
-		t.Errorf("errors.Is lost the sentinel: %v", err)
-	}
-	var fe *FlowError
-	if !errors.As(err, &fe) || fe.Stage != StageSelect || fe.Design != "gcd" {
-		t.Errorf("attribution wrong: %+v", fe)
-	}
-	if want := "core: stage select on gcd: no admissible solution"; err.Error() != want {
-		t.Errorf("Error() = %q, want %q", err.Error(), want)
-	}
-
-	rewrapped := stageErr(StageRedact, "other", err)
-	var fe2 *FlowError
-	if !errors.As(rewrapped, &fe2) || fe2.Stage != StageSelect {
-		t.Errorf("stageErr double-wrapped an already attributed error: %v", rewrapped)
-	}
-	if stageErr(StageFilter, "x", nil) != nil {
-		t.Error("stageErr(nil) != nil")
 	}
 }
 

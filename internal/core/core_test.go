@@ -27,21 +27,6 @@ func elab(t *testing.T, src string) (*rtl.Design, *rtl.Dataflow) {
 	return d, df
 }
 
-// runFlow runs the flow on a parsed design sequentially.
-func runFlow(ast *verilog.Design, cfg *Config) (*Report, error) {
-	return RunPipeline(context.Background(), ast, cfg, RunOptions{Parallelism: 1})
-}
-
-// runSource runs the flow on Verilog text sequentially.
-func runSource(t *testing.T, src string, cfg *Config) (*Report, error) {
-	t.Helper()
-	ast, err := verilog.Parse(src)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	return runFlow(ast, cfg)
-}
-
 func TestLoadConfig(t *testing.T) {
 	cfg, err := LoadConfig(`
 top: gcd
@@ -179,198 +164,5 @@ endmodule`
 				}
 			}
 		}
-	}
-}
-
-func TestFullFlowGCDCfg1(t *testing.T) {
-	b, _ := bench.ByName("gcd")
-	cfg := Cfg1()
-	cfg.SelectedOutputs = b.SelectedOutputs
-	rep, err := runSource(t, b.Source(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Err != nil {
-		t.Fatalf("flow stopped: %v", rep.Err)
-	}
-	if rep.R != 9 {
-		t.Errorf("|R| = %d, want 9 (68-pin comparator excluded)", rep.R)
-	}
-	if rep.Solution == nil || len(rep.Solution.Fabrics) == 0 {
-		t.Fatal("no solution")
-	}
-	if len(rep.Solution.Fabrics) > 2 {
-		t.Errorf("cfg1 allows at most 2 eFPGAs, got %d", len(rep.Solution.Fabrics))
-	}
-	t.Logf("gcd cfg1: %s", rep.Row())
-	t.Logf("%s", rep.Summary())
-}
-
-func TestFullFlowGCDCfg2(t *testing.T) {
-	b, _ := bench.ByName("gcd")
-	cfg := Cfg2()
-	cfg.SelectedOutputs = b.SelectedOutputs
-	rep, err := runSource(t, b.Source(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Err != nil {
-		t.Fatalf("flow stopped: %v", rep.Err)
-	}
-	if rep.R != 10 {
-		t.Errorf("|R| = %d, want 10", rep.R)
-	}
-	if len(rep.Solution.Fabrics) != 1 {
-		t.Errorf("cfg2 allows 1 eFPGA, got %d", len(rep.Solution.Fabrics))
-	}
-	t.Logf("gcd cfg2: %s", rep.Row())
-}
-
-func TestFullFlowIIRCfg1Diagnostic(t *testing.T) {
-	b, _ := bench.ByName("iir")
-	cfg := Cfg1()
-	cfg.SelectedOutputs = b.SelectedOutputs
-	rep, err := runSource(t, b.Source(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Err == nil {
-		t.Fatal("IIR under cfg1 must stop with a diagnostic")
-	}
-	if rep.R != 0 {
-		t.Errorf("|R| = %d, want 0", rep.R)
-	}
-}
-
-func TestRedactionEquivalenceGCD(t *testing.T) {
-	b, _ := bench.ByName("gcd")
-	cfg := Cfg1()
-	cfg.SelectedOutputs = b.SelectedOutputs
-	ast, err := verilog.Parse(b.Source())
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := rtl.Elaborate(ast, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := runFlow(ast, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Err != nil {
-		t.Fatal(rep.Err)
-	}
-	// Functional (programmed) redaction must match the original.
-	red, err := GenerateRedactedDesign(d, rep.Solution, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifyRedaction(d, red, 300, 11); err != nil {
-		t.Fatal(err)
-	}
-	// The regenerated Verilog must be parseable and carry the eFPGA.
-	out := red.Print()
-	if _, err := verilog.Parse(out); err != nil {
-		t.Fatalf("redacted Verilog does not reparse: %v\n%s", err, out)
-	}
-	if !strings.Contains(out, "alice_efpga_") {
-		t.Error("no eFPGA instance in redacted design")
-	}
-	// Unprogrammed (black-box) redaction must NOT match: outputs stuck.
-	stub, err := GenerateRedactedDesign(d, rep.Solution, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifyRedaction(d, stub, 50, 11); err == nil {
-		t.Error("unprogrammed fabric unexpectedly passes verification")
-	}
-}
-
-func TestRedactionEquivalenceSASC(t *testing.T) {
-	b, _ := bench.ByName("sasc")
-	cfg := Cfg1()
-	cfg.SelectedOutputs = b.SelectedOutputs
-	ast, err := verilog.Parse(b.Source())
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := rtl.Elaborate(ast, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := runFlow(ast, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Err != nil {
-		t.Fatal(rep.Err)
-	}
-	if rep.R != 1 || rep.C != 1 {
-		t.Errorf("sasc: |R|=%d |C|=%d, want 1/1 (paper row)", rep.R, rep.C)
-	}
-	red, err := GenerateRedactedDesign(d, rep.Solution, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifyRedaction(d, red, 400, 5); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRedactionNestedParentDES3(t *testing.T) {
-	// DES3 S-boxes live inside crp: the insertion point is crp and the
-	// config ports must propagate through crp to the top module.
-	b, _ := bench.ByName("des3")
-	cfg := Cfg1()
-	cfg.SelectedOutputs = b.SelectedOutputs
-	cfg.MaxEFPGAs = 1
-	// Limit clusters to pairs of S-boxes to keep this test fast; the
-	// full-size sweep lives in the Table-2 bench.
-	cfg.MaxIOPins = 24
-	ast, err := verilog.Parse(b.Source())
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := rtl.Elaborate(ast, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := runFlow(ast, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Err != nil {
-		t.Fatal(rep.Err)
-	}
-	red, err := GenerateRedactedDesign(d, rep.Solution, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := red.Print()
-	if !strings.Contains(out, "cfg_en") {
-		t.Error("config ports missing")
-	}
-	if err := VerifyRedaction(d, red, 150, 3); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSelectEFPGAsBudget(t *testing.T) {
-	b, _ := bench.ByName("usb_phy")
-	cfg := Cfg1()
-	cfg.SelectedOutputs = b.SelectedOutputs
-	rep, err := runSource(t, b.Source(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Err != nil {
-		t.Fatal(rep.Err)
-	}
-	if rep.R != 2 {
-		t.Errorf("usb_phy |R| = %d, want 2", rep.R)
-	}
-	if rep.C != 3 {
-		t.Errorf("usb_phy |C| = %d, want 3", rep.C)
 	}
 }

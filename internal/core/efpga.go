@@ -124,9 +124,8 @@ type CharacterizeOptions struct {
 	// cfg1 and cfg2). Any Cache implementation works: the in-memory
 	// CharacterizationCache, or a tiered memory-over-disk cache.
 	Cache Cache
-	// Progress, when non-nil, is called after each cluster completes.
-	// It may be called from multiple goroutines; the pipeline runner
-	// passes a serialized callback.
+	// Progress, when non-nil, is called after each (cluster, family)
+	// slot completes, one call at a time.
 	Progress func(done, total int)
 }
 

@@ -70,16 +70,3 @@ func (e *FlowError) Error() string {
 
 // Unwrap exposes the cause for errors.Is / errors.As.
 func (e *FlowError) Unwrap() error { return e.Err }
-
-// stageErr wraps err with stage/design attribution, passing nil through
-// and leaving an existing *FlowError of the same stage untouched.
-func stageErr(stage Stage, design string, err error) error {
-	if err == nil {
-		return nil
-	}
-	var fe *FlowError
-	if errors.As(err, &fe) {
-		return err
-	}
-	return &FlowError{Stage: stage, Design: design, Err: err}
-}

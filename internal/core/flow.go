@@ -9,8 +9,6 @@ import (
 	"time"
 
 	"alice/internal/openfpga"
-	"alice/internal/rtl"
-	"alice/internal/verilog"
 )
 
 // Report is the outcome of one full ALICE run: the Table-2 row of the
@@ -97,178 +95,10 @@ type Event struct {
 	Err      error         // stage diagnostic
 }
 
-// Observer receives pipeline events. The runner serializes calls, so an
-// observer needs no locking of its own even under parallel
+// Observer receives pipeline events. The Engine serializes calls, so
+// an observer needs no locking of its own even under parallel
 // characterization or RunBatch.
 type Observer func(Event)
-
-// RunOptions tunes a pipeline run beyond the flow Config.
-type RunOptions struct {
-	// Parallelism bounds the characterization worker pool, the fabrics
-	// implemented at once (and the concurrent designs of a batch run).
-	// Values below 1 mean sequential.
-	Parallelism int
-	// Observer receives per-stage progress events.
-	Observer Observer
-	// Cache memoizes cluster characterizations across runs.
-	Cache Cache
-}
-
-// RunPipeline executes the staged flow: Elaborate → Filter → Cluster →
-// Characterize → Select → Implement → Redact. Flow diagnostics (no
-// candidates, no cluster, no solution) land in Report.Err as stage-
-// attributed errors; hard failures (bad config, elaboration errors,
-// context cancellation) are returned as the error.
-func RunPipeline(ctx context.Context, ast *verilog.Design, cfg *Config, opts RunOptions) (*Report, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	obs := serializeObserver(opts.Observer)
-
-	d, err := rtl.Elaborate(ast, cfg.Top)
-	if err != nil {
-		return nil, err
-	}
-	rep := &Report{
-		Design:    d.Top.Name,
-		Instances: len(d.NonRootInstances()),
-	}
-	design := rep.Design
-	stageStart := func(s Stage) { obs(Event{Kind: EventStageStart, Stage: s, Design: design}) }
-	stageEnd := func(s Stage, t0 time.Time, count int, err error) {
-		obs(Event{Kind: EventStageEnd, Stage: s, Design: design,
-			Duration: time.Since(t0), Count: count, Err: err})
-	}
-
-	// Phase 1: module filtering (includes dataflow analysis, as in the
-	// paper's time accounting).
-	stageStart(StageFilter)
-	t0 := time.Now()
-	df, err := rtl.NewDataflow(ctx, d)
-	if err != nil {
-		return nil, err
-	}
-	fr, err := FilterModules(ctx, d, df, cfg)
-	rep.FilterTime = time.Since(t0)
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		rep.Err = stageErr(StageFilter, design, err)
-		stageEnd(StageFilter, t0, 0, rep.Err)
-		return rep, nil
-	}
-	rep.Filter = fr
-	rep.R = len(fr.Candidates)
-	stageEnd(StageFilter, t0, rep.R, nil)
-	if rep.R == 0 {
-		rep.Err = stageErr(StageFilter, design, ErrNoCandidates)
-		return rep, nil
-	}
-
-	// Phase 2: cluster identification.
-	stageStart(StageCluster)
-	t1 := time.Now()
-	clusters, err := IdentifyClusters(ctx, fr.Candidates, cfg)
-	rep.ClusterTime = time.Since(t1)
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		rep.Err = stageErr(StageCluster, design, err)
-		stageEnd(StageCluster, t1, 0, rep.Err)
-		return rep, nil
-	}
-	rep.Clusters = clusters
-	rep.C = len(clusters)
-	stageEnd(StageCluster, t1, rep.C, nil)
-	if rep.C == 0 {
-		rep.Err = stageErr(StageCluster, design, ErrNoCluster)
-		return rep, nil
-	}
-
-	// Phase 3: eFPGA characterization + selection (one phase in the
-	// paper's time accounting, hence the shared SelectTime).
-	stageStart(StageCharacterize)
-	t2 := time.Now()
-	cands, err := CharacterizeClusters(ctx, d, clusters, cfg, CharacterizeOptions{
-		Parallelism: opts.Parallelism,
-		Cache:       opts.Cache,
-		Progress: func(done, total int) {
-			obs(Event{Kind: EventProgress, Stage: StageCharacterize, Design: design,
-				Done: done, Total: total})
-		},
-	})
-	rep.CharacterizeTime = time.Since(t2)
-	if err != nil {
-		return nil, err // characterization only fails on cancellation
-	}
-	stageEnd(StageCharacterize, t2, len(cands), nil)
-
-	stageStart(StageSelect)
-	tSel := time.Now()
-	sel, err := SelectEFPGAs(ctx, cands, cfg)
-	// SelectTime spans characterization + selection (the paper's phase-3
-	// accounting); the stage event reports selection alone.
-	rep.SelectTime = time.Since(t2)
-	rep.Selection = sel
-	if sel != nil {
-		rep.ValidEFPGAs = sel.ValidCount
-		rep.S = sel.SolutionCount
-	}
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		rep.Err = stageErr(StageSelect, design, err)
-		stageEnd(StageSelect, tSel, 0, rep.Err)
-		return rep, nil
-	}
-	rep.Solution = sel.Best
-	rep.FabricSizes = sel.Best.FabricSizes()
-	rep.Redacted = len(sel.Best.RedactedInstances())
-	stageEnd(StageSelect, tSel, rep.S, nil)
-
-	if cfg.ImplementWinner {
-		stageStart(StageImplement)
-		t3 := time.Now()
-		if err := ImplementSolution(ctx, sel.Best, cfg, opts.Parallelism); err != nil {
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			rep.Err = stageErr(StageImplement, design, err)
-			stageEnd(StageImplement, t3, 0, rep.Err)
-			return rep, nil
-		}
-		stageEnd(StageImplement, t3, len(sel.Best.Fabrics), nil)
-	}
-
-	stageStart(StageRedact)
-	t4 := time.Now()
-	red, err := GenerateRedactedDesign(d, sel.Best, false)
-	if err != nil {
-		rep.Err = stageErr(StageRedact, design, err)
-		stageEnd(StageRedact, t4, 0, rep.Err)
-		return rep, nil
-	}
-	rep.Redaction = red
-	stageEnd(StageRedact, t4, rep.Redacted, nil)
-	return rep, nil
-}
-
-// serializeObserver wraps an observer so events arriving from parallel
-// workers are delivered one at a time; a nil observer becomes a no-op.
-func serializeObserver(o Observer) Observer {
-	if o == nil {
-		return func(Event) {}
-	}
-	var mu sync.Mutex
-	return func(ev Event) {
-		mu.Lock()
-		defer mu.Unlock()
-		o(ev)
-	}
-}
 
 // ImplementSolution upgrades every fast-mode fabric of a solution to a
 // fully placed, routed, and programmed one, growing fabrics if routing

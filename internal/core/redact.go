@@ -262,7 +262,9 @@ func VerifyRedaction(orig *rtl.Design, red *Redaction, steps int, seed int64) er
 	if !red.Functional {
 		return fmt.Errorf("core: redaction carries unprogrammed eFPGA models; regenerate with functional=true")
 	}
-	origRes, err := synth.Synthesize(orig)
+	// Both sides unify clocks, as characterization does, so a
+	// multi-clock design the flow redacts can be checked.
+	origRes, err := synth.SynthesizeOpts(orig, synth.Options{UnifyClocks: true})
 	if err != nil {
 		return fmt.Errorf("core: synthesizing original: %w", err)
 	}

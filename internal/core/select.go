@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"alice/internal/rtl"
-	"alice/internal/structural"
 )
 
 // Solution is one admissible set of non-overlapping eFPGA
@@ -81,17 +80,6 @@ func SelectEFPGAs(ctx context.Context, cands []FabricCandidate, cfg *Config) (*S
 		c := &cands[i]
 		if c.Err != nil && (errors.Is(c.Err, ErrBelowFmaxFloor) || errors.Is(c.Err, ErrBelowKeyFloor)) {
 			c.Err = nil // this config's floors decide below
-		}
-		if c.Fabric == nil {
-			continue
-		}
-		// The structural report prices the security term, feeds the
-		// floor, and rides to the flow report. Characterization made it;
-		// a fabric from an older disk record arrives without one and is
-		// analyzed here, on the candidate copy, because cached fabrics
-		// are shared across runs.
-		if c.Structural == nil {
-			c.Structural, _ = structural.Analyze(c.Fabric.LUTs, structural.Options{Seed: cfg.Seed})
 		}
 		if !c.Valid() {
 			continue

@@ -18,7 +18,8 @@
 // Every transition is journaled before it is visible to pollers, so a
 // crash replays to a consistent picture: jobs found queued are re-run;
 // jobs found running are re-queued (their worker died with the
-// process); terminal jobs are history.
+// process) unless their attempts already exceed the budget, in which
+// case they are quarantined; terminal jobs are history.
 //
 // Failure domains. A Handler that panics does not kill its worker:
 // the panic is caught and converted to a *JobPanicError carrying the
@@ -229,7 +230,8 @@ func (e *JobPanicError) Error() string {
 // New builds a queue, recovers journaled jobs, and starts the worker
 // pool. Jobs journaled as queued or running are re-enqueued in their
 // original submission order (running first resets to queued: the
-// worker executing it died with the previous process).
+// worker executing it died with the previous process), except a
+// running job past its attempt budget, which is quarantined.
 func New(opts Options) (*Queue, error) {
 	if opts.Handler == nil {
 		return nil, fmt.Errorf("jobq: Options.Handler is required")
@@ -263,7 +265,6 @@ func New(opts Options) (*Queue, error) {
 		stopBase()
 		return nil, err
 	}
-	q.stats.Submitted += int64(len(pending))
 	// Size the buffer to hold the whole backlog, so recovery can
 	// enqueue before the workers start (and submissions rarely block).
 	capacity := 1024
@@ -291,6 +292,12 @@ func New(opts Options) (*Queue, error) {
 
 // recover replays the journal: rebuild the job table, restore the id
 // sequence, and return the interrupted jobs to re-enqueue.
+//
+// A job found running died with the process. One such interruption is
+// always re-run, since it may have been an operator's kill, but a job
+// whose attempts exceed MaxAttempts got its last one only as such a
+// re-run and died again: it is quarantined, so a job that kills the
+// process runs at most MaxAttempts+1 times instead of on every restart.
 func (q *Queue) recover() ([]*Job, error) {
 	if q.opts.Journal == nil {
 		return nil, nil
@@ -320,16 +327,29 @@ func (q *Queue) recover() ([]*Job, error) {
 		}
 		return idSeq(pending[i].ID) < idSeq(pending[k].ID)
 	})
+	q.stats.Submitted += int64(len(pending))
+	requeue := pending[:0]
 	for _, j := range pending {
 		if j.State == StateRunning {
-			j.State = StateQueued
-			j.StartedAt = time.Time{}
+			if j.Attempts > q.opts.MaxAttempts {
+				j.State = StateQuarantined
+				j.Error = fmt.Sprintf("jobq: the process died during the job's last attempt (attempt %d, budget %d)",
+					j.Attempts, q.opts.MaxAttempts)
+				j.FinishedAt = time.Now().UTC()
+				q.stats.Quarantined++
+			} else {
+				j.State = StateQueued
+				j.StartedAt = time.Time{}
+			}
 			if err := q.journal(j); err != nil {
 				return nil, err
 			}
 		}
+		if j.State == StateQueued {
+			requeue = append(requeue, j)
+		}
 	}
-	return pending, nil
+	return requeue, nil
 }
 
 // idSeq extracts the numeric suffix of a job id (0 if malformed).

@@ -2,10 +2,12 @@ package jobq
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -355,5 +357,66 @@ func TestQuarantinedCountsAndList(t *testing.T) {
 	}
 	if fmt.Sprintf("%v", list[0].FinishedAt.IsZero()) == "true" {
 		t.Fatalf("quarantined job missing FinishedAt")
+	}
+}
+
+// TestRecoveryQuarantinesProcessKillers: a job journaled running died
+// with the process. Past its attempt budget it has died on a re-run
+// before, so recovery quarantines it without calling the handler; at
+// the budget it gets its one re-run.
+func TestRecoveryQuarantinesProcessKillers(t *testing.T) {
+	const budget = 2
+	j := openJournal(t, t.TempDir())
+	t.Cleanup(func() { j.Close() }) // after the queue's shutdown
+	at := time.Now().UTC()
+	for i, attempts := range []int{budget + 1, budget} {
+		raw, err := json.Marshal(Job{
+			ID: fmt.Sprintf("job-%d", i+1), State: StateRunning, Attempts: attempts,
+			SubmittedAt: at, StartedAt: at,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Put(journalPrefix+fmt.Sprintf("job-%d", i+1), raw); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var mu sync.Mutex
+	calls := map[string]int{}
+	q := newQueue(t, Options{Journal: j, MaxAttempts: budget, Handler: func(ctx context.Context, job *Job) ([]byte, error) {
+		mu.Lock()
+		calls[job.ID]++
+		mu.Unlock()
+		return nil, nil
+	}})
+	killer, err := q.Wait(context.Background(), "job-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if killer.State != StateQuarantined || killer.Attempts != budget+1 ||
+		!strings.Contains(killer.Error, "process died") || killer.FinishedAt.IsZero() {
+		t.Errorf("job past its budget after recovery = %+v, want quarantined with a process-death error", killer)
+	}
+	rerun, err := q.Wait(context.Background(), "job-2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rerun.State != StateSucceeded || rerun.Attempts != budget+1 {
+		t.Errorf("job at its budget after recovery = %+v, want one more run, succeeded", rerun)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if calls["job-1"] != 0 || calls["job-2"] != 1 {
+		t.Errorf("handler calls = %v, want job-1 never and job-2 once", calls)
+	}
+	if st := q.Stats(); st.Quarantined != 1 || st.Submitted != 2 {
+		t.Errorf("stats = %+v, want 1 quarantined of 2 recovered", st)
+	}
+	// The quarantine is journaled: another restart keeps it.
+	raw, ok := j.Get(journalPrefix + "job-1")
+	var rec Job
+	if !ok || json.Unmarshal(raw, &rec) != nil || rec.State != StateQuarantined {
+		t.Errorf("journaled job-1 = %s, want quarantined", raw)
 	}
 }

@@ -69,10 +69,8 @@ func TestFullPnRAcrossFamilies(t *testing.T) {
 				}
 				cfg := alice.Cfg1()
 				cfg.SelectedOutputs = bm.SelectedOutputs
-				eng := alice.NewEngine(
-					alice.WithConfig(cfg),
-					alice.WithArchSpace(alice.ArchParams{LUTSize: k}),
-				)
+				cfg.ArchSpace = []alice.ArchParams{{LUTSize: k}}
+				eng := alice.NewEngine(alice.WithConfig(cfg))
 				rep, err := eng.RunSource(ctx, bm.Source())
 				if err != nil {
 					t.Fatal(err)
@@ -167,7 +165,8 @@ func TestWholeFlowDeterministic(t *testing.T) {
 	runOnce := func(space []alice.ArchParams) []*alice.FabricCandidate {
 		cfg := alice.Cfg1()
 		cfg.SelectedOutputs = bm.SelectedOutputs
-		eng := alice.NewEngine(alice.WithConfig(cfg), alice.WithArchSpace(space...))
+		cfg.ArchSpace = space
+		eng := alice.NewEngine(alice.WithConfig(cfg))
 		rep, err := eng.RunSource(ctx, bm.Source())
 		if err != nil {
 			t.Fatal(err)

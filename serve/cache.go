@@ -70,8 +70,9 @@ func (t *TieredCache) Lookup(key string) (*openfpga.Fabric, error, bool) {
 		return nil, nil, false
 	}
 	var e diskEntry
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&e); err != nil {
-		// Undecodable record (schema drift across releases): a miss,
+	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&e); err != nil || e.Fab != nil && e.Fab.Structural == nil {
+		// Undecodable record (schema drift across releases), or a
+		// fabric written before characterization analyzed it: a miss,
 		// not an error — the re-characterization overwrites it.
 		t.diskSkips.Add(1)
 		t.diskMisses.Add(1)

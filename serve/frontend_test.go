@@ -12,6 +12,9 @@ import (
 
 	"alice"
 	"alice/internal/jobq"
+	"alice/internal/netlist"
+	"alice/internal/rtl"
+	"alice/internal/synth"
 )
 
 // twoTops is a design with two possible top modules: outer instantiates
@@ -25,6 +28,20 @@ module outer(input wire a, input wire b, input wire c, output wire z);
   wire t;
   inner u0 (.a(a), .b(b), .y(t));
   assign z = t ^ c;
+endmodule
+`
+
+// twoClocks has two clocked submodules on separate clocks. The flow
+// unifies them into one domain, as it does for cluster wrappers.
+const twoClocks = `
+module top(input wire clka, input wire clkb, input wire [3:0] a, input wire [3:0] b,
+           output wire [3:0] x, output wire [3:0] y);
+  acc ua (.clk(clka), .d(a), .q(x));
+  acc ub (.clk(clkb), .d(b), .q(y));
+endmodule
+
+module acc(input wire clk, input wire [3:0] d, output reg [3:0] q);
+  always @(posedge clk) q <= q + d;
 endmodule
 `
 
@@ -327,5 +344,64 @@ func TestMemoHitAllocs(t *testing.T) {
 	}
 	if fe, flows := srv.frontEndRuns.Load(), srv.flowRuns.Load(); fe != 1 || flows != 1 {
 		t.Errorf("front_end_runs=%d flow_runs=%d after the hits, want 1, 1", fe, flows)
+	}
+}
+
+// TestTwoClockDesign: a design with two clock domains, which the flow
+// redacts, is accepted as a job and succeeds, and its functional
+// redaction co-simulates equal to the original.
+func TestTwoClockDesign(t *testing.T) {
+	srv, ts := newTestServer(t, t.TempDir())
+	defer closeServer(t, srv, ts)
+	body, err := json.Marshal(JobRequest{Source: twoClocks})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := waitJob(t, ts.URL, postJob(t, ts.URL, string(body)).ID)
+	if done.State != jobq.StateSucceeded {
+		t.Fatalf("two-clock job: %s (%s)", done.State, done.Error)
+	}
+
+	rep, err := alice.NewEngine().RunSource(context.Background(), twoClocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Solution == nil {
+		t.Fatalf("two-clock flow found no solution: %v", rep.Err)
+	}
+	red, err := alice.GenerateRedactedDesign(twoClocks, rep.Solution, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := alice.VerifyRedaction(twoClocks, red, 200, 1); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestNetlistHashIgnoresClockUnification: the front end synthesizes
+// with clocks unified, which only lifts the single-clock check, so each
+// corpus design's content hash, part of its store key, is the one a
+// plain synthesis gives.
+func TestNetlistHashIgnoresClockUnification(t *testing.T) {
+	for _, b := range alice.Benchmarks() {
+		ast, err := alice.Parse(b.Source())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var hashes [2]string
+		for i, unify := range []bool{false, true} {
+			d, err := rtl.Elaborate(ast, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := synth.SynthesizeOpts(d, synth.Options{UnifyClocks: unify})
+			if err != nil {
+				t.Fatalf("%s unify=%v: %v", b.Name, unify, err)
+			}
+			hashes[i] = netlist.ContentHash(res.Netlist)
+		}
+		if hashes[0] != hashes[1] {
+			t.Errorf("%s: content hash %s, %s with clocks unified", b.Name, hashes[0], hashes[1])
+		}
 	}
 }

@@ -101,9 +101,6 @@ type Options struct {
 	JobTimeout time.Duration
 	// KeepDone bounds retained terminal jobs (default 512).
 	KeepDone int
-	// Config is the base flow configuration for requests that carry
-	// none (default Cfg1).
-	Config *alice.Config
 	// EngineOptions are appended to every per-job engine (tests attach
 	// observers here; WithConfig/WithCache are set by the server and
 	// would be overridden).
@@ -382,12 +379,7 @@ func (s *Server) resolve(req *JobRequest) (*prepared, error) {
 		}
 		pj.cfg = cfg
 	case req.Cfg == 0 || req.Cfg == 1:
-		if s.opts.Config != nil {
-			c := *s.opts.Config
-			pj.cfg = &c
-		} else {
-			pj.cfg = alice.Cfg1()
-		}
+		pj.cfg = alice.Cfg1()
 	case req.Cfg == 2:
 		pj.cfg = alice.Cfg2()
 	default:
@@ -477,7 +469,11 @@ func (s *Server) netlistHash(pj *prepared) (string, error) {
 		return "", fmt.Errorf("elaborating design: %w", err)
 	}
 	s.frontEndRuns.Add(1)
-	sr, err := synth.Synthesize(d)
+	// Clocks unify as in characterization, so a multi-clock design the
+	// flow redacts is not refused here. The option only lifts the
+	// single-clock check: single-clock netlists, and so their hashes,
+	// do not change.
+	sr, err := synth.SynthesizeOpts(d, synth.Options{UnifyClocks: true})
 	if err != nil {
 		return "", fmt.Errorf("synthesizing design: %w", err)
 	}

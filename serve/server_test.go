@@ -268,7 +268,7 @@ func TestTieredCacheReadThrough(t *testing.T) {
 
 // reportlessCache writes every fabric without its structural report,
 // as a daemon from before characterization analyzed did, and records
-// the keys it stored. The characterization workers call Store
+// the keys of those fabrics. The characterization workers call Store
 // concurrently.
 type reportlessCache struct {
 	*TieredCache
@@ -281,17 +281,18 @@ func (r *reportlessCache) Store(key string, fab *openfpga.Fabric, err error) {
 		bare := *fab
 		bare.Structural = nil
 		fab = &bare
+		r.mu.Lock()
+		r.keys = append(r.keys, key)
+		r.mu.Unlock()
 	}
-	r.mu.Lock()
-	r.keys = append(r.keys, key)
-	r.mu.Unlock()
 	r.TieredCache.Store(key, fab, err)
 }
 
-// TestTieredCacheReportlessRecords: a disk record written without a
-// structural report decodes without one, and the flow over it fills the
-// report in with the verdicts a fresh characterization gets — the path
-// of a daemon upgraded over an old data directory.
+// TestTieredCacheReportlessRecords: a disk record whose fabric was
+// written without a structural report is a miss, so the flow over it
+// re-characterizes, gets the reports and fabrics a fresh
+// characterization gets, and overwrites the record — the path of a
+// daemon upgraded over an old data directory.
 func TestTieredCacheReportlessRecords(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cache.store")
 	var old *reportlessCache
@@ -302,26 +303,34 @@ func TestTieredCacheReportlessRecords(t *testing.T) {
 	if err := tc1.st.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	st, err := store.Open(path, store.Options{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tc := NewTieredCache(nil, st)
-	for _, key := range old.keys {
-		fab, _, ok := tc.Lookup(key)
-		if !ok {
-			t.Fatalf("record %q missing from the disk tier", key)
-		}
-		if fab != nil && fab.Structural != nil {
-			t.Fatalf("record %q decoded with a report it was written without", key)
-		}
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
+	if len(old.keys) == 0 {
+		t.Fatal("the first run stored no fabrics")
 	}
 
-	rep2, _ := gcdThroughStore(t, path, nil)
+	lookupAll := func(wantHit bool) {
+		t.Helper()
+		st, err := store.Open(path, store.Options{NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		tc := NewTieredCache(nil, st)
+		for _, key := range old.keys {
+			fab, _, ok := tc.Lookup(key)
+			if ok != wantHit {
+				t.Fatalf("record %q: hit %v, want %v", key, ok, wantHit)
+			}
+			if ok && (fab == nil || fab.Structural == nil) {
+				t.Fatalf("record %q served without a report", key)
+			}
+		}
+		if hits, misses, skips := tc.DiskStats(); !wantHit && (misses != int64(len(old.keys)) || skips != misses) {
+			t.Fatalf("disk hits/misses/skips = %d/%d/%d, want a skipped miss per record (%d)", hits, misses, skips, len(old.keys))
+		}
+	}
+	lookupAll(false)
+
+	rep2, tc2 := gcdThroughStore(t, path, nil)
 	for i, c1 := range rep1.Selection.Candidates {
 		if c1.Fabric == nil {
 			continue
@@ -334,6 +343,10 @@ func TestTieredCacheReportlessRecords(t *testing.T) {
 	if rep1.FabricSizes != rep2.FabricSizes {
 		t.Errorf("run over old records selected %q, want %q", rep2.FabricSizes, rep1.FabricSizes)
 	}
+	if err := tc2.st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	lookupAll(true) // re-characterization overwrote every old record
 }
 
 // TestSubmitValidation: malformed requests fail the HTTP call with
