@@ -45,12 +45,12 @@ func equivCfgs(benchName string) []*alice.Config {
 	return []*alice.Config{c1, c2}
 }
 
-// TestParallelCharacterizationEquivalence proves the worker pool is
-// purely a speedup: for every paper benchmark under both
-// configurations, runs at parallelism 4 and 8 produce the sequential
-// run's Table-2 row (modulo timing), diagnostic, score, fabrics and
-// redacted instances.
-func TestParallelCharacterizationEquivalence(t *testing.T) {
+// checkParallelMatchesSequential runs every paper benchmark under both
+// configurations at parallelism 1 and par, and fails unless the parallel
+// run reproduces the sequential run's Table-2 row (modulo timing),
+// diagnostic, score, fabrics and redacted instances.
+func checkParallelMatchesSequential(t *testing.T, par int) {
+	t.Helper()
 	ctx := context.Background()
 	for _, bm := range alice.Benchmarks() {
 		ast, err := alice.Parse(bm.Source())
@@ -58,12 +58,12 @@ func TestParallelCharacterizationEquivalence(t *testing.T) {
 			t.Fatalf("%s: %v", bm.Name, err)
 		}
 		for ci := range equivCfgs(bm.Name) {
-			run := func(par int) *alice.Report {
+			run := func(n int) *alice.Report {
 				cfg := equivCfgs(bm.Name)[ci]
 				cfg.SelectedOutputs = bm.SelectedOutputs
-				rep, err := alice.NewEngine(alice.WithConfig(cfg), alice.WithParallelism(par)).Run(ctx, ast)
+				rep, err := alice.NewEngine(alice.WithConfig(cfg), alice.WithParallelism(n)).Run(ctx, ast)
 				if err != nil {
-					t.Fatalf("%s cfg%d parallelism %d: %v", bm.Name, ci+1, par, err)
+					t.Fatalf("%s cfg%d parallelism %d: %v", bm.Name, ci+1, n, err)
 				}
 				return rep
 			}
@@ -73,29 +73,41 @@ func TestParallelCharacterizationEquivalence(t *testing.T) {
 				// score comparison below is never vacuous.
 				t.Fatalf("gcd cfg%d: %v", ci+1, seq.Err)
 			}
-			for _, par := range []int{4, 8} {
-				rep := run(par)
-				if got, want := normalizedRow(rep), normalizedRow(seq); got != want {
-					t.Errorf("%s cfg%d parallelism %d: row\n  %q\nsequential row\n  %q", bm.Name, ci+1, par, got, want)
-				}
-				if fmt.Sprint(rep.Err) != fmt.Sprint(seq.Err) {
-					t.Errorf("%s cfg%d parallelism %d: diagnostic %v, sequential %v", bm.Name, ci+1, par, rep.Err, seq.Err)
-				}
-				if (rep.Solution == nil) != (seq.Solution == nil) {
-					t.Fatalf("%s cfg%d parallelism %d: solution %v, sequential %v", bm.Name, ci+1, par, rep.Solution, seq.Solution)
-				}
-				if seq.Solution != nil && rep.Solution.Score != seq.Solution.Score {
-					t.Errorf("%s cfg%d parallelism %d: score %v, sequential %v", bm.Name, ci+1, par, rep.Solution.Score, seq.Solution.Score)
-				}
-				if rep.FabricSizes != seq.FabricSizes {
-					t.Errorf("%s cfg%d parallelism %d: fabrics %s, sequential %s", bm.Name, ci+1, par, rep.FabricSizes, seq.FabricSizes)
-				}
-				if got, want := redactedPaths(rep.Solution), redactedPaths(seq.Solution); strings.Join(got, ",") != strings.Join(want, ",") {
-					t.Errorf("%s cfg%d parallelism %d: redacted instances %v, sequential %v", bm.Name, ci+1, par, got, want)
-				}
+			rep := run(par)
+			if got, want := normalizedRow(rep), normalizedRow(seq); got != want {
+				t.Errorf("%s cfg%d parallelism %d: row\n  %q\nsequential row\n  %q", bm.Name, ci+1, par, got, want)
+			}
+			if fmt.Sprint(rep.Err) != fmt.Sprint(seq.Err) {
+				t.Errorf("%s cfg%d parallelism %d: diagnostic %v, sequential %v", bm.Name, ci+1, par, rep.Err, seq.Err)
+			}
+			if (rep.Solution == nil) != (seq.Solution == nil) {
+				t.Fatalf("%s cfg%d parallelism %d: solution %v, sequential %v", bm.Name, ci+1, par, rep.Solution, seq.Solution)
+			}
+			if seq.Solution != nil && rep.Solution.Score != seq.Solution.Score {
+				t.Errorf("%s cfg%d parallelism %d: score %v, sequential %v", bm.Name, ci+1, par, rep.Solution.Score, seq.Solution.Score)
+			}
+			if rep.FabricSizes != seq.FabricSizes {
+				t.Errorf("%s cfg%d parallelism %d: fabrics %s, sequential %s", bm.Name, ci+1, par, rep.FabricSizes, seq.FabricSizes)
+			}
+			if got, want := redactedPaths(rep.Solution), redactedPaths(seq.Solution); strings.Join(got, ",") != strings.Join(want, ",") {
+				t.Errorf("%s cfg%d parallelism %d: redacted instances %v, sequential %v", bm.Name, ci+1, par, got, want)
 			}
 		}
 	}
+}
+
+// TestEngineMatchesLegacyRun checks that the Engine at parallelism 4
+// reproduces the sequential run, the reference the one-shot pipeline
+// the Engine replaced used to provide.
+func TestEngineMatchesLegacyRun(t *testing.T) {
+	checkParallelMatchesSequential(t, 4)
+}
+
+// TestParallelCharacterizationEquivalence proves the worker pool is
+// purely a speedup: at parallelism 8 every paper benchmark gets the
+// sequential run's results.
+func TestParallelCharacterizationEquivalence(t *testing.T) {
+	checkParallelMatchesSequential(t, 8)
 }
 
 // TestTypedStageErrors checks that flow diagnostics are stage-attributed
