@@ -227,32 +227,46 @@ func Benchmarks() []Benchmark { return bench.All() }
 func BenchmarkByName(name string) (Benchmark, bool) { return bench.ByName(name) }
 
 // GenerateRedactedDesign regenerates the redacted design for a solution
-// — a shim over Engine.Elaborate + Engine.Redact. With functional=true
-// the eFPGA modules carry a behavioural model of the programmed fabric
-// (for simulation); with false they model the unprogrammed fabric the
-// foundry sees (outputs stuck at 0).
+// — a shim over elaboration + Engine.Redact. It elaborates the top of
+// the design the solution was made for: the root of its instance tree
+// (a solution without fabrics leaves the top to inference). With
+// functional=true the eFPGA modules carry a behavioural model of the
+// programmed fabric (for simulation); with false they model the
+// unprogrammed fabric the foundry sees (outputs stuck at 0).
 func GenerateRedactedDesign(src string, sol *Solution, functional bool) (*Redaction, error) {
 	ast, err := verilog.Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	eng := NewEngine()
-	ctx := context.Background()
-	d, err := eng.Elaborate(ctx, ast)
+	d, err := rtl.Elaborate(ast, solutionTop(sol))
 	if err != nil {
 		return nil, err
 	}
-	return eng.Redact(ctx, d, sol, functional)
+	return NewEngine().Redact(context.Background(), d, sol, functional)
 }
 
-// VerifyRedaction co-simulates the original design against a functional
-// redaction over random stimulus.
+// solutionTop names the module at the root of the instance tree the
+// solution's clusters belong to, or "" when it has no cluster instance.
+func solutionTop(sol *Solution) string {
+	for _, fc := range sol.Fabrics {
+		for _, in := range fc.Cluster.Instances {
+			for in.Parent != nil {
+				in = in.Parent
+			}
+			return in.Module.Name
+		}
+	}
+	return ""
+}
+
+// VerifyRedaction co-simulates the original design, elaborated with the
+// redaction's top, against a functional redaction over random stimulus.
 func VerifyRedaction(src string, red *Redaction, steps int, seed int64) error {
 	ast, err := verilog.Parse(src)
 	if err != nil {
 		return err
 	}
-	d, err := rtl.Elaborate(ast, "")
+	d, err := rtl.Elaborate(ast, red.Top)
 	if err != nil {
 		return err
 	}

@@ -56,6 +56,56 @@ efpga:
 	}
 }
 
+// chipMid nests the design a flow is configured for: chip instantiates
+// mid, and mid instantiates two leaves.
+const chipMid = `
+module leaf_add(input wire [3:0] a, input wire [3:0] b, output wire [3:0] y);
+  assign y = a + b;
+endmodule
+
+module leaf_xor(input wire [3:0] a, input wire [3:0] b, output wire [3:0] y);
+  assign y = a ^ b;
+endmodule
+
+module mid(input wire [3:0] a, input wire [3:0] b, output wire [3:0] s, output wire [3:0] x);
+  leaf_add u_add (.a(a), .b(b), .y(s));
+  leaf_xor u_xor (.a(a), .b(b), .y(x));
+endmodule
+
+module chip(input wire [3:0] a, input wire [3:0] b, input wire [3:0] c,
+            output wire [3:0] z, output wire [3:0] w);
+  wire [3:0] s, x;
+  mid u_mid (.a(a), .b(b), .s(s), .x(x));
+  assign z = s & c;
+  assign w = x | c;
+endmodule
+`
+
+// TestRedactionKeepsConfiguredTop: a flow run with cfg.Top = "mid" is
+// redacted and verified against mid, not against chip, the top that
+// elaboration would infer.
+func TestRedactionKeepsConfiguredTop(t *testing.T) {
+	cfg := alice.DefaultConfig()
+	cfg.Top = "mid"
+	rep, err := alice.NewEngine(alice.WithConfig(cfg)).RunSource(context.Background(), chipMid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Solution == nil {
+		t.Fatalf("no solution: %v", rep.Err)
+	}
+	red, err := alice.GenerateRedactedDesign(chipMid, rep.Solution, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if red.Top != "mid" {
+		t.Fatalf("redaction top = %q, want mid", red.Top)
+	}
+	if err := alice.VerifyRedaction(chipMid, red, 200, 1); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestAllBenchmarksListed ensures the suite matches the paper's seven
 // designs.
 func TestAllBenchmarksListed(t *testing.T) {

@@ -9,14 +9,19 @@
 // encodes redaction requests and reports; the queue only manages their
 // lifecycle:
 //
-//	queued ──► running ──► succeeded
+//	queued ──► running ──► succeeded ◄── (Complete)
 //	   ▲           │   ├──► failed
 //	   │(retry)    │   └──► quarantined
 //	   └───────────┤
 //	   ────────────┴──────► canceled
 //
-// Every transition is journaled before it is visible to pollers, so a
-// crash replays to a consistent picture: jobs found queued are re-run;
+// A caller that already holds a job's result (the service's memo hits)
+// registers it with Complete: the job enters the table succeeded and
+// never reaches a worker.
+//
+// Every transition, and a job submitted already succeeded, is journaled
+// before it is visible to pollers, so a crash replays to a consistent
+// picture: jobs found queued are re-run;
 // jobs found running are re-queued (their worker died with the
 // process) unless their attempts already exceed the budget, in which
 // case they are quarantined; terminal jobs are history.
@@ -429,6 +434,43 @@ func (q *Queue) Submit(payload []byte, opts SubmitOptions) (Job, error) {
 	case <-q.baseCtx.Done():
 	}
 	return snap, nil
+}
+
+// Complete registers a job whose result the caller already has (the
+// service answers a memoized request this way) and returns its
+// snapshot (State succeeded). The job never reaches a worker: Attempts
+// stays 0, and SubmittedAt, StartedAt and FinishedAt are one instant.
+// Like Submit, it journals the job before registering it, so no poller
+// sees a job a crash would lose. It counts as submitted and succeeded
+// and takes part in KeepDone eviction.
+func (q *Queue) Complete(payload, result []byte, opts SubmitOptions) (Job, error) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.closed {
+		return Job{}, ErrQueueClosed
+	}
+	q.seq++
+	now := time.Now().UTC()
+	j := &Job{
+		ID:          fmt.Sprintf("job-%d", q.seq),
+		Name:        opts.Name,
+		Payload:     append([]byte(nil), payload...),
+		State:       StateSucceeded,
+		Result:      append([]byte(nil), result...),
+		Timeout:     opts.Timeout,
+		SubmittedAt: now,
+		StartedAt:   now,
+		FinishedAt:  now,
+	}
+	if err := q.journal(j); err != nil {
+		q.seq--
+		return Job{}, err
+	}
+	q.jobs[j.ID] = j
+	q.stats.Submitted++
+	q.stats.Succeeded++
+	q.evictLocked()
+	return *j, nil
 }
 
 // worker drains the work channel until shutdown.

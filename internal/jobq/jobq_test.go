@@ -2,9 +2,11 @@ package jobq
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -390,4 +392,185 @@ func TestConcurrentSubmitWaitCancel(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// countingJournal is an in-memory Journal that keeps every record it
+// was asked to write, in order.
+type countingJournal struct {
+	mu     sync.Mutex
+	m      map[string][]byte
+	writes []Job
+}
+
+func newCountingJournal() *countingJournal {
+	return &countingJournal{m: make(map[string][]byte)}
+}
+
+func (c *countingJournal) Put(key string, val []byte) error {
+	var j Job
+	if err := json.Unmarshal(val, &j); err != nil {
+		return err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.m[key] = append([]byte(nil), val...)
+	c.writes = append(c.writes, j)
+	return nil
+}
+
+func (c *countingJournal) Delete(key string) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	delete(c.m, key)
+	return nil
+}
+
+func (c *countingJournal) Get(key string) ([]byte, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	v, ok := c.m[key]
+	return v, ok
+}
+
+func (c *countingJournal) Keys(prefix string) []string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var out []string
+	for k := range c.m {
+		if strings.HasPrefix(k, prefix) {
+			out = append(out, k)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// written returns a copy of the records written so far.
+func (c *countingJournal) written() []Job {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]Job(nil), c.writes...)
+}
+
+// TestCompleteJournalsOnceAndNeverRuns: a job registered with Complete
+// costs one journal record, already succeeded; Wait returns it at once,
+// it counts as submitted and succeeded, and a queue reopened over the
+// journal keeps it terminal without running it.
+func TestCompleteJournalsOnceAndNeverRuns(t *testing.T) {
+	jr := newCountingJournal()
+	var runs atomic.Int32
+	handler := func(ctx context.Context, job *Job) ([]byte, error) {
+		runs.Add(1)
+		return []byte("ran"), nil
+	}
+	q1, err := New(Options{Workers: 1, Journal: jr, Handler: handler})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := q1.Complete([]byte("request"), []byte("answer"), SubmitOptions{Name: "hit", Timeout: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.State != StateSucceeded || string(j.Result) != "answer" || string(j.Payload) != "request" ||
+		j.Name != "hit" || j.Timeout != time.Minute || j.Attempts != 0 {
+		t.Fatalf("Complete snapshot = %+v", j)
+	}
+	if j.SubmittedAt.IsZero() || !j.StartedAt.Equal(j.SubmittedAt) || !j.FinishedAt.Equal(j.SubmittedAt) {
+		t.Fatalf("Complete stamps: submitted %v, started %v, finished %v; want one instant",
+			j.SubmittedAt, j.StartedAt, j.FinishedAt)
+	}
+	w := jr.written()
+	if len(w) != 1 || w[0].ID != j.ID || w[0].State != StateSucceeded || string(w[0].Result) != "answer" {
+		t.Fatalf("journal writes = %+v; want one succeeded record of %s", w, j.ID)
+	}
+
+	// Terminal from the start: Wait answers even on a done context.
+	done, cancel := context.WithCancel(context.Background())
+	cancel()
+	if got, err := q1.Wait(done, j.ID); err != nil || got.State != StateSucceeded {
+		t.Fatalf("Wait = %+v, %v; want the succeeded job at once", got, err)
+	}
+	if got, ok := q1.Get(j.ID); !ok || got.State != StateSucceeded {
+		t.Fatalf("Get = %+v, %v", got, ok)
+	}
+	if st := q1.Stats(); st.Submitted != 1 || st.Succeeded != 1 {
+		t.Fatalf("stats = %+v; want 1 submitted, 1 succeeded", st)
+	}
+	if err := q1.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	q2 := newQueue(t, Options{Workers: 1, Journal: jr, Handler: handler})
+	// A job submitted after the restart runs behind any recovered one,
+	// so once it is done the pool has seen everything it will run.
+	later, err := q2.Submit([]byte("later"), SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := q2.Wait(context.Background(), later.ID); err != nil {
+		t.Fatal(err)
+	}
+	got, ok := q2.Get(j.ID)
+	if !ok || got.State != StateSucceeded || string(got.Result) != "answer" || got.Attempts != 0 {
+		t.Fatalf("completed job after restart = %+v, %v", got, ok)
+	}
+	if n := runs.Load(); n != 1 {
+		t.Fatalf("handler ran %d times, want 1 (the later job only)", n)
+	}
+	if later.ID == j.ID {
+		t.Fatalf("id %s reused after restart", j.ID)
+	}
+}
+
+// TestCompleteCountsInKeepDone: completed jobs are terminal jobs like
+// any other, so registering them evicts the oldest beyond KeepDone.
+func TestCompleteCountsInKeepDone(t *testing.T) {
+	jr := newCountingJournal()
+	q := newQueue(t, Options{Workers: 1, Journal: jr, KeepDone: 2, Handler: echoHandler})
+	ran, err := q.Submit([]byte("oldest"), SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := q.Wait(context.Background(), ran.ID); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := q.Complete(nil, []byte("answer"), SubmitOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ok := q.Get(ran.ID); ok {
+		t.Errorf("job %s not evicted by the completed jobs", ran.ID)
+	}
+	if n := len(q.List()); n != 2 {
+		t.Errorf("retained %d jobs, want 2", n)
+	}
+	if n := len(jr.Keys(journalPrefix)); n != 2 {
+		t.Errorf("journal retains %d records, want 2", n)
+	}
+	if st := q.Stats(); st.Submitted != 3 || st.Succeeded != 3 {
+		t.Errorf("stats = %+v; want 3 submitted, 3 succeeded", st)
+	}
+}
+
+// TestCompleteOnClosedQueue: after Shutdown, Complete refuses like
+// Submit and writes nothing.
+func TestCompleteOnClosedQueue(t *testing.T) {
+	jr := newCountingJournal()
+	q, err := New(Options{Journal: jr, Handler: echoHandler})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := q.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := q.Complete(nil, []byte("answer"), SubmitOptions{}); !errors.Is(err, ErrQueueClosed) {
+		t.Fatalf("Complete after Shutdown = %v, want ErrQueueClosed", err)
+	}
+	if w := jr.written(); len(w) != 0 {
+		t.Fatalf("journal writes after a refused Complete = %+v", w)
+	}
+	if st := q.Stats(); st.Submitted != 0 || st.Succeeded != 0 {
+		t.Fatalf("stats = %+v; want nothing counted", st)
+	}
 }

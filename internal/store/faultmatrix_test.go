@@ -6,7 +6,10 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"alice/internal/iofault"
 )
@@ -341,5 +344,122 @@ func TestStaleCompactFileRemovedOnOpen(t *testing.T) {
 	}
 	if _, err := os.Stat(stale); !os.IsNotExist(err) {
 		t.Fatalf("stale compact file not removed: %v", err)
+	}
+}
+
+// blockingFS opens real files whose Sync, while armed, signals entered
+// and then waits for release: a disk that holds one fsync for as long
+// as the test likes.
+type blockingFS struct {
+	iofault.OS
+	armed   atomic.Bool
+	entered chan struct{}
+	release chan struct{}
+}
+
+type blockingFile struct {
+	iofault.File
+	fs *blockingFS
+}
+
+func (fs *blockingFS) OpenFile(name string, flag int, perm os.FileMode) (iofault.File, error) {
+	f, err := fs.OS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return &blockingFile{File: f, fs: fs}, nil
+}
+
+func (f *blockingFile) Sync() error {
+	if f.fs.armed.Load() {
+		f.fs.entered <- struct{}{}
+		<-f.fs.release
+	}
+	return f.File.Sync()
+}
+
+// TestBlockedSyncLeavesReadersFree holds a Put's fsync and checks that
+// every reader answers at once with the state before the Put, and that
+// the value appears only once the Put is durable.
+func TestBlockedSyncLeavesReadersFree(t *testing.T) {
+	fs := &blockingFS{entered: make(chan struct{}, 1), release: make(chan struct{})}
+	st, err := Open(filepath.Join(t.TempDir(), "log"), Options{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := st.Put("k", []byte("old")); err != nil {
+		t.Fatal(err)
+	}
+
+	fs.armed.Store(true)
+	var once sync.Once
+	unblock := func() {
+		once.Do(func() {
+			fs.armed.Store(false)
+			close(fs.release)
+		})
+	}
+	defer unblock()
+	putDone := make(chan error, 1)
+	go func() { putDone <- st.Put("k", []byte("new")) }()
+	select {
+	case <-fs.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the Put never reached its fsync")
+	}
+
+	// within fails the test unless read returns while the fsync is held.
+	within := func(name string, read func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			read()
+		}()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			// Let the reader finish before the test does.
+			unblock()
+			<-done
+			t.Fatalf("%s waited for another writer's fsync", name)
+		}
+	}
+	within("Get", func() {
+		if v, ok := st.Get("k"); !ok || string(v) != "old" {
+			t.Errorf("Get during the fsync = %q, %v; want the old value", v, ok)
+		}
+	})
+	var snap *Snapshot
+	within("Snapshot", func() { snap = st.Snapshot() })
+	within("Stats", func() {
+		if got := st.Stats(); got.Puts != 1 || got.Records != 1 {
+			t.Errorf("Stats during the fsync = %+v; want the state before the Put", got)
+		}
+	})
+	within("Sealed", func() {
+		if err := st.Sealed(); err != nil {
+			t.Errorf("Sealed during the fsync = %v", err)
+		}
+	})
+	within("Len", func() {
+		if n := st.Len(); n != 1 {
+			t.Errorf("Len during the fsync = %d", n)
+		}
+	})
+
+	unblock()
+	if err := <-putDone; err != nil {
+		t.Fatalf("Put: %v", err)
+	}
+	if v, ok := st.Get("k"); !ok || string(v) != "new" {
+		t.Fatalf("Get after the Put = %q, %v; want the new value", v, ok)
+	}
+	if v, _ := snap.Get("k"); string(v) != "old" {
+		t.Errorf("snapshot taken during the fsync = %q; want the old value", v)
+	}
+	if got := st.Stats().Puts; got != 2 {
+		t.Errorf("Puts after the Put = %d, want 2", got)
 	}
 }

@@ -18,10 +18,15 @@
 //     only ever accepted at the tail: a bad frame followed by more
 //     readable data is reported as an error rather than silently
 //     dropped, since it means the log was damaged, not torn.
-//   - Writers append under a lock; readers are never blocked by the
-//     disk. Snapshot() captures an O(live-set) point-in-time view that
-//     subsequent writes do not disturb (values are immutable once
-//     stored).
+//   - Two locks keep readers off the disk. A writer lock serializes
+//     the write path, disk I/O included: Put, Delete, Compact, Reopen
+//     and Close. The reader lock guards what readers see (the index,
+//     the log size, the counters and the seal); a writer takes it only
+//     to publish its change once the write is durable. So Get,
+//     Snapshot, Stats, Len and Sealed never wait for an fsync, and a
+//     value stays invisible until its Put is durable. Snapshot()
+//     captures an O(live-set) point-in-time view that subsequent
+//     writes do not disturb (values are immutable once stored).
 //
 // The log is an intentional minimal subset of the log-structured KV
 // design (cf. the Go-DB exemplar's kv-store): no B-tree, because the
@@ -122,6 +127,12 @@ type Stats struct {
 // use; values handed in and out are copied, so callers may mutate
 // their slices freely.
 type Store struct {
+	// wmu serializes the write path, disk I/O included. It guards f
+	// and closed, and it is held whenever index, size, stats or sealed
+	// change, so a writer reads them without mu.
+	wmu sync.Mutex
+	// mu guards index, size, stats and sealed for readers. A writer
+	// takes it, under wmu, only to publish a change, never across I/O.
 	mu    sync.RWMutex
 	fs    iofault.FS
 	f     iofault.File
@@ -320,22 +331,24 @@ func parseFrame(b []byte) (key string, val []byte, op byte, n int, ok bool) {
 	return key, val, op, n, true
 }
 
-// appendFrame writes and (optionally) fsyncs one frame. A failed write
-// is rolled back (the partial frame is cut off the log) so the next
-// append starts on a committed boundary; an unrecoverable rollback or
-// a failed fsync seals the write path.
-func (s *Store) appendFrame(op byte, key string, val []byte) error {
+// appendFrame writes and (optionally) fsyncs one frame and returns its
+// length, which the caller adds to size when it publishes the write
+// (caller holds the write lock). A failed write is rolled back (the
+// partial frame is cut off the log) so the next append starts on a
+// committed boundary; an unrecoverable rollback or a failed fsync
+// seals the write path.
+func (s *Store) appendFrame(op byte, key string, val []byte) (int64, error) {
 	if s.closed {
-		return fmt.Errorf("store: %s is closed", s.path)
+		return 0, fmt.Errorf("store: %s is closed", s.path)
 	}
 	if s.sealed != nil {
-		return fmt.Errorf("%w: %w", ErrSealed, s.sealed)
+		return 0, fmt.Errorf("%w: %w", ErrSealed, s.sealed)
 	}
 	if len(key) > maxKeyLen {
-		return fmt.Errorf("store: key too long (%d bytes)", len(key))
+		return 0, fmt.Errorf("store: key too long (%d bytes)", len(key))
 	}
 	if len(val) > maxValLen {
-		return fmt.Errorf("store: value too long (%d bytes)", len(val))
+		return 0, fmt.Errorf("store: value too long (%d bytes)", len(val))
 	}
 	frame := make([]byte, frameHeader+len(key)+len(val))
 	frame[0] = op
@@ -353,7 +366,7 @@ func (s *Store) appendFrame(op byte, key string, val []byte) error {
 		// it and turn the partial frame into mid-log corruption — so
 		// cut the log back to the last committed record now.
 		s.rollback(err)
-		return fmt.Errorf("store: append: %w", err)
+		return 0, fmt.Errorf("store: append: %w", err)
 	}
 	if s.fsync {
 		if err := s.f.Sync(); err != nil {
@@ -362,11 +375,10 @@ func (s *Store) appendFrame(op byte, key string, val []byte) error {
 			// the data ever reaching the disk), so no further append is
 			// trustworthy: seal until a Reopen re-probes the disk.
 			s.seal(fmt.Errorf("store: fsync: %w", err))
-			return fmt.Errorf("store: fsync: %w", err)
+			return 0, fmt.Errorf("store: fsync: %w", err)
 		}
 	}
-	s.size += int64(len(frame))
-	return nil
+	return int64(len(frame)), nil
 }
 
 // rollback cuts a partially appended frame back off the log (caller
@@ -381,11 +393,15 @@ func (s *Store) rollback(cause error) {
 		s.seal(fmt.Errorf("store: append failed (%v) and rollback seek failed: %w", cause, err))
 		return
 	}
+	s.mu.Lock()
 	s.stats.Rollbacks++
+	s.mu.Unlock()
 }
 
 // seal shuts the write path (caller holds the write lock).
 func (s *Store) seal(cause error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.sealed == nil {
 		s.sealed = cause
 		s.stats.Seals++
@@ -408,8 +424,8 @@ func (s *Store) Sealed() error {
 // probe loop; safe to call on a healthy store (it is then just a
 // consistency re-check).
 func (s *Store) Reopen() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
 	if s.closed {
 		return fmt.Errorf("store: %s is closed", s.path)
 	}
@@ -438,6 +454,7 @@ func (s *Store) Reopen() error {
 	}
 	old := s.f
 	s.f = f
+	s.mu.Lock()
 	s.index = probe.index
 	s.size = probe.size
 	s.stats.Recovered += probe.stats.Recovered
@@ -446,6 +463,7 @@ func (s *Store) Reopen() error {
 		s.stats.Reopens++
 		s.sealed = nil
 	}
+	s.mu.Unlock()
 	old.Close()
 	return nil
 }
@@ -453,29 +471,38 @@ func (s *Store) Reopen() error {
 // Put commits key→val. The write is durable (fsynced) when Put
 // returns, unless the store was opened with NoSync.
 func (s *Store) Put(key string, val []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.appendFrame(opPut, key, val); err != nil {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	n, err := s.appendFrame(opPut, key, val)
+	if err != nil {
 		return err
 	}
-	s.index[key] = append([]byte(nil), val...)
+	v := append([]byte(nil), val...)
+	s.mu.Lock()
+	s.index[key] = v
+	s.size += n
 	s.stats.Puts++
+	s.mu.Unlock()
 	return nil
 }
 
 // Delete removes key (a no-op if absent). The tombstone is durable
 // when Delete returns.
 func (s *Store) Delete(key string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
 	if _, ok := s.index[key]; !ok {
 		return nil
 	}
-	if err := s.appendFrame(opDel, key, nil); err != nil {
+	n, err := s.appendFrame(opDel, key, nil)
+	if err != nil {
 		return err
 	}
+	s.mu.Lock()
 	delete(s.index, key)
+	s.size += n
 	s.stats.Deletes++
+	s.mu.Unlock()
 	return nil
 }
 
@@ -562,8 +589,8 @@ func (s *Store) Stats() Stats {
 // Used by the job journal, whose delete-heavy workload accretes dead
 // frames; the result-store workload rarely needs it.
 func (s *Store) Compact() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
 	if s.closed {
 		return fmt.Errorf("store: %s is closed", s.path)
 	}
@@ -591,10 +618,12 @@ func (s *Store) Compact() error {
 	}
 	sort.Strings(keys) // deterministic log layout
 	for _, k := range keys {
-		if err := ns.appendFrame(opPut, k, s.index[k]); err != nil {
+		n, err := ns.appendFrame(opPut, k, s.index[k])
+		if err != nil {
 			cleanup()
 			return err
 		}
+		ns.size += n
 	}
 	if err := tmp.Sync(); err != nil {
 		cleanup()
@@ -622,15 +651,17 @@ func (s *Store) Compact() error {
 	}
 	old.Close()
 	s.f = f
+	s.mu.Lock()
 	s.size = ns.size
+	s.mu.Unlock()
 	return nil
 }
 
 // Close fsyncs and closes the log. Further writes fail; reads keep
 // serving from the in-memory index.
 func (s *Store) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
 	if s.closed {
 		return nil
 	}

@@ -165,6 +165,69 @@ func TestChaosStoreFaultDegradesThenHeals(t *testing.T) {
 	}
 }
 
+// TestSealedStoreRefusesMemoHit: a request with a stored result is
+// answered by a journal write, so while the store is sealed it is
+// refused with 503 and Retry-After like a miss, and nothing is counted
+// or listed; once the store reopens it is answered at submission again.
+func TestSealedStoreRefusesMemoHit(t *testing.T) {
+	script := iofault.NewScript()
+	srv, err := New(Options{
+		DataDir:       t.TempDir(),
+		Workers:       1,
+		JobTimeout:    2 * time.Minute,
+		StoreFS:       iofault.NewFS(iofault.OS{}, script),
+		ProbeInterval: time.Hour, // the test heals the store itself
+	})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer closeServer(t, srv, ts)
+
+	req := `{"bench":"gcd","cfg":1}`
+	if done := waitJob(t, ts.URL, postJob(t, ts.URL, req).ID); done.State != jobq.StateSucceeded {
+		t.Fatalf("first send: %s (%s)", done.State, done.Error)
+	}
+	before := getStats(t, ts.URL)
+	jobs := len(listJobs(t, ts.URL))
+
+	// Seal the write path: the next fsync fails.
+	script.Add(&iofault.Rule{Op: iofault.OpSync, Mode: iofault.Fail})
+	if err := srv.Store().Put("seal", []byte("x")); err == nil {
+		t.Fatal("Put under a failing fsync succeeded")
+	}
+	if srv.Store().Sealed() == nil {
+		t.Fatal("store not sealed")
+	}
+	for _, body := range []string{req, `{"bench":"gcd","cfg":2}`} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST while sealed: %v", err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+			t.Fatalf("POST %s while sealed: status %d, Retry-After %q (%s); want 503 with Retry-After",
+				body, resp.StatusCode, resp.Header.Get("Retry-After"), raw)
+		}
+	}
+	if st := getStats(t, ts.URL); st.MemoHits != before.MemoHits || st.JobTotals.Submitted != before.JobTotals.Submitted {
+		t.Fatalf("refused submissions were counted: memo_hits %d -> %d, submitted %d -> %d",
+			before.MemoHits, st.MemoHits, before.JobTotals.Submitted, st.JobTotals.Submitted)
+	}
+	if n := len(listJobs(t, ts.URL)); n != jobs {
+		t.Fatalf("refused submissions were listed: %d jobs, had %d", n, jobs)
+	}
+
+	script.Clear()
+	if err := srv.Store().Reopen(); err != nil {
+		t.Fatalf("Reopen: %v", err)
+	}
+	if hit := postJob(t, ts.URL, req); hit.State != jobq.StateSucceeded || hit.Result == nil || !hit.Result.Cached {
+		t.Fatalf("memo hit after the store reopened: %+v", hit)
+	}
+}
+
 // TestChaosPanickingJobQuarantined proves panic containment end to
 // end: a payload that panics the engine burns its attempt budget and
 // quarantines with the panic (and stack) in its error, while the

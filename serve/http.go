@@ -21,7 +21,9 @@ const maxWait = 5 * time.Minute
 
 // routes wires the HTTP API:
 //
-//	POST   /v1/jobs          submit a JobRequest  -> JobStatus (201)
+//	POST   /v1/jobs          submit a JobRequest  -> JobStatus (201;
+//	                         succeeded at once when the result is
+//	                         stored, else queued)
 //	GET    /v1/jobs          list jobs            -> []JobStatus
 //	GET    /v1/jobs/{id}     one job; ?wait=30s long-polls until
 //	                         terminal             -> JobStatus
@@ -94,19 +96,31 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// Validate now so malformed requests fail the HTTP call, not an
 	// async job the client would have to poll to see fail. A design
 	// seen before costs no front-end work here or in the job.
-	if _, err := s.prepare(&req); err != nil {
+	pj, err := s.prepare(&req)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
+	start := time.Now()
 	payload, err := json.Marshal(&req)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	job, err := s.queue.Submit(payload, jobq.SubmitOptions{
+	opts := jobq.SubmitOptions{
 		Name:    req.Name,
 		Timeout: time.Duration(req.TimeoutMS) * time.Millisecond,
-	})
+	}
+	// A request with a stored result is answered now: its job is
+	// journaled already succeeded and never queued.
+	var job jobq.Job
+	if res, ok := s.memoHit(pj, start); ok {
+		if job, err = s.queue.Complete(payload, res, opts); err == nil {
+			s.memoHits.Add(1)
+		}
+	} else {
+		job, err = s.queue.Submit(payload, opts)
+	}
 	if err != nil {
 		// A sealed store means the journal cannot commit the submission;
 		// acknowledging it anyway would promise durability we don't

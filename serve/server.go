@@ -18,9 +18,12 @@
 // Config.Key() + the design's canonical netlist content hash + the
 // attack parameters, so resubmitting an identical design (even
 // reformatted) returns the stored result without invoking a single
-// flow stage. A per-process memo from (top module, source text) to the
-// netlist content hash lets a repeated design skip parse, elaborate
-// and synthesize when its key is derived again.
+// flow stage. Submission derives the key to validate the request, so
+// it answers such a request itself: the job is journaled already
+// succeeded (jobq.Queue.Complete) and returned with its result. A
+// per-process memo from (top module, source text) to the netlist
+// content hash lets a repeated design skip parse, elaborate and
+// synthesize when its key is derived again.
 //
 // Failure domains. The daemon is built to keep serving through the
 // failures production delivers:
@@ -345,6 +348,7 @@ type prepared struct {
 	cfg        *alice.Config
 	attack     *attack.Options // nil when no attack stage
 	structural bool            // report structural verdicts (and seed the attack)
+	fresh      bool            // bypass the stored result
 	memoID     string          // hex digest, reported as JobResult.StoreKey
 	key        string          // full store key (resultPrefix + memoID)
 }
@@ -353,7 +357,7 @@ type prepared struct {
 // attack options. It touches no design text: the front end runs in
 // prepare.
 func (s *Server) resolve(req *JobRequest) (*prepared, error) {
-	pj := &prepared{structural: req.Structural}
+	pj := &prepared{structural: req.Structural, fresh: req.Fresh}
 	var benchOutputs []string
 	switch {
 	case req.Source != "" && req.Bench != "":
@@ -526,7 +530,33 @@ func (f *frontEndMemo) put(k [sha256.Size]byte, h string) {
 	f.m[k] = h
 }
 
-// runJob is the queue handler: memo lookup, then flow + attack.
+// memoHit answers a request from the store: its stored result marked
+// cached, with the time since start as its handling time. ok is false
+// when the request asks for a fresh run, nothing is stored under its
+// key, or the record does not decode; the caller then computes the
+// result over it.
+func (s *Server) memoHit(pj *prepared, start time.Time) ([]byte, bool) {
+	if pj.fresh {
+		return nil, false
+	}
+	raw, ok := s.st.Get(pj.key)
+	if !ok {
+		return nil, false
+	}
+	var res JobResult
+	if json.Unmarshal(raw, &res) != nil {
+		return nil, false
+	}
+	res.Cached = true
+	res.ElapsedMS = time.Since(start).Milliseconds()
+	out, err := json.Marshal(res)
+	return out, err == nil
+}
+
+// runJob is the queue handler: memo lookup, then flow + attack. Most
+// hits are answered at submission; this lookup answers a job queued
+// before its result was stored (an identical request in flight, or a
+// job recovered after a restart).
 func (s *Server) runJob(ctx context.Context, job *jobq.Job) ([]byte, error) {
 	var req JobRequest
 	if err := json.Unmarshal(job.Payload, &req); err != nil {
@@ -537,18 +567,9 @@ func (s *Server) runJob(ctx context.Context, job *jobq.Job) ([]byte, error) {
 		return nil, err
 	}
 	start := time.Now()
-
-	if !req.Fresh {
-		if raw, ok := s.st.Get(pj.key); ok {
-			var res JobResult
-			if json.Unmarshal(raw, &res) == nil {
-				s.memoHits.Add(1)
-				res.Cached = true
-				res.ElapsedMS = time.Since(start).Milliseconds()
-				return json.Marshal(res)
-			}
-			// Undecodable record: fall through and recompute over it.
-		}
+	if res, ok := s.memoHit(pj, start); ok {
+		s.memoHits.Add(1)
+		return res, nil
 	}
 
 	ast := pj.ast

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"alice"
+	"alice/internal/jobq"
 	"alice/internal/openfpga"
 	"alice/internal/store"
 )
@@ -199,6 +201,105 @@ func TestMemoizationAcrossRestart(t *testing.T) {
 	}
 	if !done3.Result.Cached {
 		t.Fatalf("reformatted source was not served from the store")
+	}
+}
+
+// listJobs returns GET /v1/jobs.
+func listJobs(t *testing.T, base string) []JobStatus {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/jobs")
+	if err != nil {
+		t.Fatalf("GET /v1/jobs: %v", err)
+	}
+	defer resp.Body.Close()
+	var jobs []JobStatus
+	if err := json.NewDecoder(resp.Body).Decode(&jobs); err != nil {
+		t.Fatalf("decoding job list: %v", err)
+	}
+	return jobs
+}
+
+// TestSubmitAnswersMemoHit: a request whose result is stored is
+// answered in its POST, already succeeded, with the miss's key and
+// report; it costs one store write (its journal record) and no flow,
+// and the job stays pollable, listed and, after a restart, succeeded.
+func TestSubmitAnswersMemoHit(t *testing.T) {
+	dir := t.TempDir()
+	req := `{"name":"hit","bench":"gcd","cfg":1}`
+	srv1, ts1 := newTestServer(t, dir)
+	miss := waitJob(t, ts1.URL, postJob(t, ts1.URL, req).ID)
+	if miss.State != jobq.StateSucceeded || miss.Result == nil || miss.Result.Cached {
+		t.Fatalf("first send: %+v, want a computed result", miss)
+	}
+	before := getStats(t, ts1.URL)
+
+	hit := postJob(t, ts1.URL, req)
+	if hit.State != jobq.StateSucceeded || hit.Result == nil || !hit.Result.Cached {
+		t.Fatalf("repeated send: POST answered %+v, want succeeded with a cached result", hit)
+	}
+	if hit.Result.StoreKey != miss.Result.StoreKey || !bytes.Equal(hit.Result.Report, miss.Result.Report) {
+		t.Fatalf("memo hit differs from the miss: key %s vs %s", hit.Result.StoreKey, miss.Result.StoreKey)
+	}
+	if hit.Attempts != 0 || !hit.StartedAt.Equal(hit.SubmittedAt) || !hit.FinishedAt.Equal(hit.SubmittedAt) {
+		t.Errorf("memo hit ran in a worker: %+v", hit)
+	}
+	after := getStats(t, ts1.URL)
+	if after.FlowRuns != before.FlowRuns || after.MemoHits != before.MemoHits+1 {
+		t.Errorf("flow_runs %d -> %d, memo_hits %d -> %d; want no flow and one hit",
+			before.FlowRuns, after.FlowRuns, before.MemoHits, after.MemoHits)
+	}
+	if after.Store.Puts != before.Store.Puts+1 {
+		t.Errorf("store puts %d -> %d; want exactly one, the job's journal record",
+			before.Store.Puts, after.Store.Puts)
+	}
+	if got := after.JobTotals; got.Submitted != before.JobTotals.Submitted+1 || got.Succeeded != before.JobTotals.Succeeded+1 {
+		t.Errorf("job totals %+v -> %+v; want one more submitted and succeeded", before.JobTotals, got)
+	}
+
+	got := waitJob(t, ts1.URL, hit.ID)
+	if got.State != jobq.StateSucceeded || got.Result == nil || !bytes.Equal(got.Result.Report, miss.Result.Report) {
+		t.Errorf("GET of the memo hit: %+v", got)
+	}
+	listed := false
+	for _, j := range listJobs(t, ts1.URL) {
+		listed = listed || (j.ID == hit.ID && j.State == jobq.StateSucceeded)
+	}
+	if !listed {
+		t.Errorf("job listing lacks the succeeded memo hit %s", hit.ID)
+	}
+	closeServer(t, srv1, ts1)
+
+	srv2, ts2 := newTestServer(t, dir)
+	defer closeServer(t, srv2, ts2)
+	got = waitJob(t, ts2.URL, hit.ID)
+	if got.State != jobq.StateSucceeded || got.Result == nil || !got.Result.Cached ||
+		got.Result.StoreKey != miss.Result.StoreKey || !bytes.Equal(got.Result.Report, miss.Result.Report) {
+		t.Fatalf("memo hit after a restart: %+v", got)
+	}
+	if st := getStats(t, ts2.URL); st.FlowRuns != 0 {
+		t.Fatalf("restart re-ran %d flows", st.FlowRuns)
+	}
+}
+
+// TestFreshSubmissionIsQueued: fresh bypasses a stored result, so the
+// request is queued and the flow runs.
+func TestFreshSubmissionIsQueued(t *testing.T) {
+	srv, ts := newTestServer(t, t.TempDir())
+	defer closeServer(t, srv, ts)
+	miss := waitJob(t, ts.URL, postJob(t, ts.URL, `{"bench":"gcd","cfg":2}`).ID)
+	if miss.State != jobq.StateSucceeded {
+		t.Fatalf("first send: %s (%s)", miss.State, miss.Error)
+	}
+	fresh := postJob(t, ts.URL, `{"bench":"gcd","cfg":2,"fresh":true}`)
+	if fresh.State != jobq.StateQueued {
+		t.Fatalf("fresh send: POST answered %s, want queued", fresh.State)
+	}
+	done := waitJob(t, ts.URL, fresh.ID)
+	if done.State != jobq.StateSucceeded || done.Result.Cached || done.Result.StoreKey != miss.Result.StoreKey {
+		t.Fatalf("fresh send: %+v, want a recomputed result under the same key", done)
+	}
+	if st := getStats(t, ts.URL); st.FlowRuns != 2 || st.MemoHits != 0 {
+		t.Fatalf("flow_runs=%d memo_hits=%d, want 2, 0", st.FlowRuns, st.MemoHits)
 	}
 }
 
