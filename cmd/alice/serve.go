@@ -33,7 +33,7 @@ func runServe(args []string) {
 		keepDone   = fs.Int("keep-done", 512, "finished jobs to retain for polling")
 		drain      = fs.Duration("drain", 30*time.Second, "graceful-shutdown drain budget")
 		queueDepth = fs.Int("queue-depth", 256, "queued-job admission limit (excess submits get 503)")
-		retries    = fs.Int("retries", 2, "attempts per job before quarantine (panics and transient faults)")
+		retries    = fs.Int("retries", 2, "attempts per panicking job before quarantine")
 	)
 	fs.Parse(args)
 

@@ -100,10 +100,8 @@ type FabricCandidate struct {
 	Slack float64
 	// Structural is the oracle-free structural analysis of the
 	// programmed fabric (key-bit classification and effective key
-	// length): the report characterization stored on the fabric.
-	// Selection analyzes a fabric that arrives without one (a disk
-	// record written before characterization analyzed) on its own copy
-	// of the candidate, never on the shared cached fabric.
+	// length): the report characterization stored on the fabric. It is
+	// nil only when the analysis failed; selection analyzes nothing.
 	Structural *structural.Report
 }
 

@@ -19,6 +19,13 @@
 // registers it with Complete: the job enters the table succeeded and
 // never reaches a worker.
 //
+// All bookkeeping lives under one mutex. Queued job ids wait in a FIFO
+// list that workers take from, woken by a condition variable. Every job
+// that ends, however it ends, is retired through one path: it is
+// counted in Stats, appended to a list of terminal jobs kept in finish
+// order, and the oldest job of that list is evicted past
+// Options.KeepDone, so retention costs the same at any size.
+//
 // Every transition, and a job submitted already succeeded, is journaled
 // before it is visible to pollers, so a crash replays to a consistent
 // picture: jobs found queued are re-run;
@@ -29,14 +36,14 @@
 // Failure domains. A Handler that panics does not kill its worker:
 // the panic is caught and converted to a *JobPanicError carrying the
 // panic value and stack, so one poison payload cannot take the daemon
-// down. Failures classified retryable — panics always, other errors
-// when Options.Retryable says so — are re-queued with capped
-// exponential backoff plus jitter, up to Options.MaxAttempts total
-// executions; the attempt count is journaled, so the budget survives
-// restarts. A job that exhausts its budget on retryable failures is
-// quarantined: a terminal state distinct from failed, flagging a
-// poison job for operator inspection rather than silently retrying
-// forever. Cancellations and timeouts never retry.
+// down. A panic is the one retryable failure: the job is re-queued
+// with capped exponential backoff plus jitter, up to
+// Options.MaxAttempts total executions; the attempt count is
+// journaled, so the budget survives restarts. A job that exhausts its
+// budget is quarantined: a terminal state distinct from failed,
+// flagging a poison job for operator inspection rather than silently
+// retrying forever. Handler errors, cancellations and timeouts never
+// retry.
 package jobq
 
 import (
@@ -63,8 +70,8 @@ const (
 	StateFailed    State = "failed"
 	StateCanceled  State = "canceled"
 	// StateQuarantined marks a poison job: it exhausted its attempt
-	// budget on retryable failures (panics included) and is parked for
-	// inspection instead of being retried forever.
+	// budget on panics (or died with the process on its last attempt)
+	// and is parked for inspection instead of being retried forever.
 	StateQuarantined State = "quarantined"
 )
 
@@ -137,48 +144,50 @@ type Options struct {
 	// KeepDone bounds how many terminal jobs are retained in memory
 	// and journal (oldest evicted first; 0 = keep all).
 	KeepDone int
-	// MaxAttempts is the total execution budget per job for retryable
-	// failures (min 1 = no retries). A retryable failure with budget
-	// left re-queues the job after a backoff; once the budget is spent
-	// the job is quarantined.
+	// MaxAttempts is the total execution budget per job for panics
+	// (min 1 = no retries). A panic with budget left re-queues the job
+	// after a backoff; once the budget is spent the job is quarantined.
 	MaxAttempts int
 	// RetryBaseDelay seeds the capped exponential backoff between
 	// attempts (default 250ms): attempt n waits about
-	// BaseDelay·2^(n-1), jittered, capped at RetryMaxDelay.
+	// BaseDelay·2^(n-1), jittered, capped at maxRetryDelay.
 	RetryBaseDelay time.Duration
-	// RetryMaxDelay caps the backoff (default 30s).
-	RetryMaxDelay time.Duration
-	// Retryable classifies handler errors as transient (worth another
-	// attempt) or deterministic. Nil means no handler error is
-	// retryable; panics are always treated as retryable regardless.
-	// Cancellations and timeouts are never consulted.
-	Retryable func(error) bool
 }
+
+// maxRetryDelay caps the retry backoff.
+const maxRetryDelay = 30 * time.Second
 
 // Queue is an asynchronous job queue with a worker pool. Safe for
 // concurrent use.
 type Queue struct {
 	opts Options
 
-	mu      sync.Mutex
-	jobs    map[string]*Job
+	mu sync.Mutex
+	// ready wakes workers when an id joins pending, the queue closes or
+	// a hard stop begins.
+	ready *sync.Cond
+	jobs  map[string]*Job
+	// pending holds the ids of queued jobs in the order they run. A job
+	// canceled while queued leaves its id behind; workers skip it.
+	pending []string
+	// done holds the retained terminal jobs in finish order: the front
+	// is the next to evict past KeepDone.
+	done    []*Job
 	cancels map[string]context.CancelFunc
 	waiters map[string][]chan Job
 	retries map[string]*time.Timer
 	seq     int
 	closed  bool
 
-	// submitters tracks in-flight Submit calls past the closed check,
-	// so Shutdown can close the work channel without racing a send.
-	submitters sync.WaitGroup
-
 	// jitter feeds the retry backoff (guarded by mu, like every
 	// backoff call): queue-owned so the package never perturbs the
 	// process-global math/rand stream.
 	jitter *rand.Rand
 
-	work     chan string
-	done     chan struct{} // closed when all workers have exited
+	exited chan struct{} // closed when all workers have exited
+	// baseCtx parents every job's context. Cancelling it is the hard
+	// stop: running jobs see it, and workers check it under mu before
+	// taking an id.
 	baseCtx  context.Context
 	stopBase context.CancelFunc
 
@@ -250,9 +259,6 @@ func New(opts Options) (*Queue, error) {
 	if opts.RetryBaseDelay <= 0 {
 		opts.RetryBaseDelay = 250 * time.Millisecond
 	}
-	if opts.RetryMaxDelay <= 0 {
-		opts.RetryMaxDelay = 30 * time.Second
-	}
 	baseCtx, stopBase := context.WithCancel(context.Background())
 	q := &Queue{
 		opts:     opts,
@@ -260,29 +266,19 @@ func New(opts Options) (*Queue, error) {
 		cancels:  make(map[string]context.CancelFunc),
 		waiters:  make(map[string][]chan Job),
 		retries:  make(map[string]*time.Timer),
-		done:     make(chan struct{}),
+		exited:   make(chan struct{}),
 		baseCtx:  baseCtx,
 		stopBase: stopBase,
 		jitter:   rand.New(rand.NewSource(time.Now().UnixNano())),
 	}
-	pending, err := q.recover()
-	if err != nil {
+	q.ready = sync.NewCond(&q.mu)
+	if err := q.recover(); err != nil {
 		stopBase()
 		return nil, err
 	}
-	// Size the buffer to hold the whole backlog, so recovery can
-	// enqueue before the workers start (and submissions rarely block).
-	capacity := 1024
-	if n := len(pending) + 16; n > capacity {
-		capacity = n
-	}
-	q.work = make(chan string, capacity)
-	for _, j := range pending {
-		q.work <- j.ID
-	}
 	var wg sync.WaitGroup
-	for w := 0; w < opts.Workers; w++ {
-		wg.Add(1)
+	wg.Add(opts.Workers)
+	for range opts.Workers {
 		go func() {
 			defer wg.Done()
 			q.worker()
@@ -290,22 +286,24 @@ func New(opts Options) (*Queue, error) {
 	}
 	go func() {
 		wg.Wait()
-		close(q.done)
+		close(q.exited)
 	}()
 	return q, nil
 }
 
-// recover replays the journal: rebuild the job table, restore the id
-// sequence, and return the interrupted jobs to re-enqueue.
+// recover replays the journal before any worker starts: it rebuilds the
+// job table and the id sequence, retains the terminal jobs in finish
+// order (evicting the oldest past KeepDone), and queues the interrupted
+// jobs.
 //
 // A job found running died with the process. One such interruption is
 // always re-run, since it may have been an operator's kill, but a job
 // whose attempts exceed MaxAttempts got its last one only as such a
 // re-run and died again: it is quarantined, so a job that kills the
 // process runs at most MaxAttempts+1 times instead of on every restart.
-func (q *Queue) recover() ([]*Job, error) {
+func (q *Queue) recover() error {
 	if q.opts.Journal == nil {
-		return nil, nil
+		return nil
 	}
 	var pending []*Job
 	for _, key := range q.opts.Journal.Keys(journalPrefix) {
@@ -313,48 +311,49 @@ func (q *Queue) recover() ([]*Job, error) {
 		if !ok {
 			continue
 		}
-		var j Job
-		if err := json.Unmarshal(raw, &j); err != nil {
-			return nil, fmt.Errorf("jobq: journal record %q: %w", key, err)
+		j := new(Job)
+		if err := json.Unmarshal(raw, j); err != nil {
+			return fmt.Errorf("jobq: journal record %q: %w", key, err)
 		}
-		if n := idSeq(j.ID); n > q.seq {
-			q.seq = n
-		}
-		jj := j
-		q.jobs[j.ID] = &jj
-		if !j.State.Terminal() {
-			pending = append(pending, &jj)
+		q.seq = max(q.seq, idSeq(j.ID))
+		q.jobs[j.ID] = j
+		if j.State.Terminal() {
+			q.done = append(q.done, j)
+		} else {
+			pending = append(pending, j)
 		}
 	}
-	sort.Slice(pending, func(i, k int) bool {
-		if !pending[i].SubmittedAt.Equal(pending[k].SubmittedAt) {
-			return pending[i].SubmittedAt.Before(pending[k].SubmittedAt)
-		}
-		return idSeq(pending[i].ID) < idSeq(pending[k].ID)
-	})
+	sortBy(q.done, func(j *Job) time.Time { return j.FinishedAt })
+	sortBy(pending, func(j *Job) time.Time { return j.SubmittedAt })
 	q.stats.Submitted += int64(len(pending))
-	requeue := pending[:0]
 	for _, j := range pending {
 		if j.State == StateRunning {
 			if j.Attempts > q.opts.MaxAttempts {
-				j.State = StateQuarantined
-				j.Error = fmt.Sprintf("jobq: the process died during the job's last attempt (attempt %d, budget %d)",
-					j.Attempts, q.opts.MaxAttempts)
-				j.FinishedAt = time.Now().UTC()
-				q.stats.Quarantined++
-			} else {
-				j.State = StateQueued
-				j.StartedAt = time.Time{}
+				q.settleLocked(j, StateQuarantined, fmt.Sprintf(
+					"jobq: the process died during the job's last attempt (attempt %d, budget %d)",
+					j.Attempts, q.opts.MaxAttempts))
+				continue
 			}
+			j.State = StateQueued
+			j.StartedAt = time.Time{}
 			if err := q.journal(j); err != nil {
-				return nil, err
+				return err
 			}
 		}
-		if j.State == StateQueued {
-			requeue = append(requeue, j)
-		}
+		q.pending = append(q.pending, j.ID)
 	}
-	return requeue, nil
+	q.evictLocked()
+	return nil
+}
+
+// sortBy orders jobs by the instant at, oldest first, ties by id.
+func sortBy(jobs []*Job, at func(*Job) time.Time) {
+	sort.Slice(jobs, func(i, k int) bool {
+		if a, b := at(jobs[i]), at(jobs[k]); !a.Equal(b) {
+			return a.Before(b)
+		}
+		return idSeq(jobs[i].ID) < idSeq(jobs[k].ID)
+	})
 }
 
 // idSeq extracts the numeric suffix of a job id (0 if malformed).
@@ -398,42 +397,15 @@ type SubmitOptions struct {
 // job is journaled before Submit returns, so an acknowledged
 // submission survives a crash: even if the process dies (or shutdown
 // begins) before the job reaches a worker, the next start re-runs it.
+// Submit never blocks on the backlog; callers bound it (the service's
+// admission control).
 func (q *Queue) Submit(payload []byte, opts SubmitOptions) (Job, error) {
-	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		return Job{}, ErrQueueClosed
-	}
-	q.seq++
-	j := &Job{
-		ID:          fmt.Sprintf("job-%d", q.seq),
-		Name:        opts.Name,
-		Payload:     append([]byte(nil), payload...),
-		State:       StateQueued,
-		Timeout:     opts.Timeout,
-		SubmittedAt: time.Now().UTC(),
-	}
-	if err := q.journal(j); err != nil {
-		q.seq--
-		q.mu.Unlock()
-		return Job{}, err
-	}
-	q.jobs[j.ID] = j
-	q.stats.Submitted++
-	q.submitters.Add(1)
-	snap := *j
-	q.mu.Unlock()
-	defer q.submitters.Done()
-
-	// Block outside the lock if the buffer is full: submission applies
-	// backpressure rather than growing without bound. A hard shutdown
-	// aborts the send; the job is already durable and re-runs on the
-	// next start.
-	select {
-	case q.work <- j.ID:
-	case <-q.baseCtx.Done():
-	}
-	return snap, nil
+	return q.register(&Job{
+		Name:    opts.Name,
+		Payload: append([]byte(nil), payload...),
+		State:   StateQueued,
+		Timeout: opts.Timeout,
+	})
 }
 
 // Complete registers a job whose result the caller already has (the
@@ -444,23 +416,29 @@ func (q *Queue) Submit(payload []byte, opts SubmitOptions) (Job, error) {
 // sees a job a crash would lose. It counts as submitted and succeeded
 // and takes part in KeepDone eviction.
 func (q *Queue) Complete(payload, result []byte, opts SubmitOptions) (Job, error) {
+	return q.register(&Job{
+		Name:    opts.Name,
+		Payload: append([]byte(nil), payload...),
+		State:   StateSucceeded,
+		Result:  append([]byte(nil), result...),
+		Timeout: opts.Timeout,
+	})
+}
+
+// register enters a new job, queued or already succeeded, and returns
+// its snapshot. It takes the next id, stamps the job and journals it
+// before adding it to the table; a journal failure registers nothing.
+func (q *Queue) register(j *Job) (Job, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
 		return Job{}, ErrQueueClosed
 	}
 	q.seq++
-	now := time.Now().UTC()
-	j := &Job{
-		ID:          fmt.Sprintf("job-%d", q.seq),
-		Name:        opts.Name,
-		Payload:     append([]byte(nil), payload...),
-		State:       StateSucceeded,
-		Result:      append([]byte(nil), result...),
-		Timeout:     opts.Timeout,
-		SubmittedAt: now,
-		StartedAt:   now,
-		FinishedAt:  now,
+	j.ID = fmt.Sprintf("job-%d", q.seq)
+	j.SubmittedAt = time.Now().UTC()
+	if j.State.Terminal() {
+		j.StartedAt, j.FinishedAt = j.SubmittedAt, j.SubmittedAt
 	}
 	if err := q.journal(j); err != nil {
 		q.seq--
@@ -468,69 +446,95 @@ func (q *Queue) Complete(payload, result []byte, opts SubmitOptions) (Job, error
 	}
 	q.jobs[j.ID] = j
 	q.stats.Submitted++
-	q.stats.Succeeded++
-	q.evictLocked()
+	if j.State.Terminal() {
+		q.retireLocked(j)
+	} else {
+		q.pending = append(q.pending, j.ID)
+		q.ready.Signal()
+	}
 	return *j, nil
 }
 
-// worker drains the work channel until shutdown.
+// worker runs queued jobs in order until a hard stop, or until the
+// queue is closed and none is left.
 func (q *Queue) worker() {
+	q.mu.Lock()
+	defer q.mu.Unlock()
 	for {
-		select {
-		case <-q.baseCtx.Done():
+		for len(q.pending) == 0 && !q.closed && q.baseCtx.Err() == nil {
+			q.ready.Wait()
+		}
+		// After a hard stop the jobs still queued stay journaled as
+		// queued and re-run on the next start.
+		if q.baseCtx.Err() != nil || len(q.pending) == 0 {
 			return
-		case id, ok := <-q.work:
-			if !ok {
-				return
-			}
-			q.runOne(id)
+		}
+		j := q.jobs[q.pending[0]]
+		q.pending = q.pending[1:]
+		if j != nil && j.State == StateQueued {
+			q.runLocked(j)
 		}
 	}
 }
 
-// runOne executes one queued job through the handler.
-func (q *Queue) runOne(id string) {
-	q.mu.Lock()
-	j, ok := q.jobs[id]
-	if !ok || j.State != StateQueued {
-		// Canceled while queued, or evicted.
-		q.mu.Unlock()
-		return
-	}
+// runLocked runs a queued job through the handler and settles it (or,
+// after a panic with budget left, queues it for a retry). The caller
+// holds q.mu, which is released while the handler runs.
+func (q *Queue) runLocked(j *Job) {
 	timeout := j.Timeout
 	if timeout == 0 {
 		timeout = q.opts.DefaultTimeout
 	}
-	ctx := q.baseCtx
+	var ctx context.Context
 	var cancel context.CancelFunc
 	if timeout > 0 {
-		ctx, cancel = context.WithTimeoutCause(ctx, timeout, ErrTimeout)
+		ctx, cancel = context.WithTimeoutCause(q.baseCtx, timeout, ErrTimeout)
 	} else {
-		ctx, cancel = context.WithCancel(ctx)
+		ctx, cancel = context.WithCancel(q.baseCtx)
 	}
 	defer cancel()
 	j.State = StateRunning
 	j.StartedAt = time.Now().UTC()
 	j.RetryAt = time.Time{}
 	j.Attempts++
-	q.cancels[id] = cancel
-	jerr := q.journal(j)
-	q.notifyLocked(j)
-	jcopy := *j
-	q.mu.Unlock()
-	if jerr != nil {
+	if err := q.journal(j); err != nil {
 		// The journal is the durability contract; a job we cannot
 		// journal as running must not run.
-		q.finish(id, nil, jerr)
+		q.settleLocked(j, StateFailed, err.Error())
 		return
 	}
-
-	result, err := q.safeRun(ctx, &jcopy)
+	q.cancels[j.ID] = cancel
+	q.notifyLocked(j)
+	snap := *j
+	q.mu.Unlock()
+	result, err := q.safeRun(ctx, &snap)
 	if err == nil && ctx.Err() != nil {
 		// The handler ignored a cancellation; honour it anyway.
 		err = ctx.Err()
 	}
-	q.finish(id, result, err)
+	q.mu.Lock()
+	delete(q.cancels, j.ID)
+	var pe *JobPanicError
+	switch {
+	case err == nil:
+		j.Result = append([]byte(nil), result...)
+		q.settleLocked(j, StateSucceeded, "")
+	case errors.Is(err, context.Canceled):
+		q.settleLocked(j, StateCanceled, err.Error())
+	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, ErrTimeout):
+		// A job that spent its own run budget would spend it again:
+		// never retried.
+		q.settleLocked(j, StateFailed, ErrTimeout.Error())
+	case !errors.As(err, &pe):
+		q.settleLocked(j, StateFailed, err.Error())
+	case j.Attempts < q.opts.MaxAttempts:
+		q.stats.Panics++
+		q.retryLocked(j, err)
+	default:
+		// The attempt budget is spent: park the poison job.
+		q.stats.Panics++
+		q.settleLocked(j, StateQuarantined, err.Error())
+	}
 }
 
 // safeRun executes the handler with panic containment: a panicking
@@ -545,65 +549,56 @@ func (q *Queue) safeRun(ctx context.Context, j *Job) (result []byte, err error) 
 	return q.opts.Handler(ctx, j)
 }
 
-// finish moves a job to its terminal state — or, for a retryable
-// failure with attempt budget left, back to queued with a backoff —
-// and wakes waiters.
-func (q *Queue) finish(id string, result []byte, err error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	j, ok := q.jobs[id]
-	if !ok || j.State.Terminal() {
-		return
-	}
-	delete(q.cancels, id)
-	switch {
-	case err == nil:
-		j.State = StateSucceeded
-		j.Result = append([]byte(nil), result...)
-		q.stats.Succeeded++
-	case errors.Is(err, context.Canceled):
-		j.State = StateCanceled
-		j.Error = err.Error()
-		q.stats.Canceled++
-	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, ErrTimeout):
-		// A job that spent its own run budget would spend it again:
-		// never retried.
-		j.State = StateFailed
-		j.Error = ErrTimeout.Error()
-		q.stats.Failed++
-	default:
-		var pe *JobPanicError
-		if errors.As(err, &pe) {
-			q.stats.Panics++
-		}
-		retryable := pe != nil ||
-			(q.opts.Retryable != nil && q.opts.Retryable(err))
-		if retryable && j.Attempts < q.opts.MaxAttempts {
-			q.retryLocked(j, err)
-			return
-		}
-		if retryable {
-			// The attempt budget is spent: park the poison job.
-			j.State = StateQuarantined
-			q.stats.Quarantined++
-		} else {
-			j.State = StateFailed
-			q.stats.Failed++
-		}
-		j.Error = err.Error()
-	}
+// settleLocked ends a registered job in terminal state st with error
+// message msg: it stamps and journals the job, then retires it.
+func (q *Queue) settleLocked(j *Job, st State, msg string) {
+	j.State = st
+	j.Error = msg
 	j.FinishedAt = time.Now().UTC()
-	// Journal the terminal state. A journal error here cannot demote
-	// the in-memory state; the job would simply re-run after a crash.
+	// A journal error cannot demote the in-memory state; the job would
+	// simply re-run after a crash.
 	_ = q.journal(j)
+	q.retireLocked(j)
+}
+
+// retireLocked is the one path of every job that ends, settled or
+// registered already succeeded: it counts the job in Stats, retains it
+// at the back of the finish-order list, evicts past KeepDone and wakes
+// the job's waiters.
+func (q *Queue) retireLocked(j *Job) {
+	switch j.State {
+	case StateSucceeded:
+		q.stats.Succeeded++
+	case StateFailed:
+		q.stats.Failed++
+	case StateCanceled:
+		q.stats.Canceled++
+	case StateQuarantined:
+		q.stats.Quarantined++
+	}
+	q.done = append(q.done, j)
 	q.evictLocked()
 	q.notifyLocked(j)
 }
 
-// retryLocked re-queues a job after a retryable failure (caller holds
-// q.mu): the failure and attempt count are journaled first, so the
-// budget survives a crash, then a timer re-enqueues the job after a
-// capped, jittered exponential backoff.
+// evictLocked drops the oldest retained jobs past KeepDone, from memory
+// and journal. Past the bound each retired job evicts one.
+func (q *Queue) evictLocked() {
+	for q.opts.KeepDone > 0 && len(q.done) > q.opts.KeepDone {
+		j := q.done[0]
+		q.done[0] = nil // the evicted job's bytes need not wait for a regrow
+		q.done = q.done[1:]
+		delete(q.jobs, j.ID)
+		if q.opts.Journal != nil {
+			_ = q.opts.Journal.Delete(journalPrefix + j.ID)
+		}
+	}
+}
+
+// retryLocked re-queues a job after a panic (caller holds q.mu): the
+// failure and attempt count are journaled first, so the budget
+// survives a crash, then a timer queues the job again after a capped,
+// jittered exponential backoff.
 func (q *Queue) retryLocked(j *Job, cause error) {
 	j.State = StateQueued
 	j.Error = cause.Error()
@@ -614,73 +609,34 @@ func (q *Queue) retryLocked(j *Job, cause error) {
 	_ = q.journal(j)
 	q.notifyLocked(j)
 	id := j.ID
-	// Count the pending send like an in-flight Submit, so Shutdown
-	// cannot close the work channel under it.
-	q.submitters.Add(1)
 	q.retries[id] = time.AfterFunc(delay, func() { q.enqueueRetry(id) })
 }
 
 // backoff computes the delay before attempt n+1: base·2^(n-1) capped
-// at the max, with up to 50% random jitter shaved off so synchronized
-// failures do not retry in lockstep.
+// at maxRetryDelay, with up to 50% random jitter shaved off so
+// synchronized failures do not retry in lockstep.
 func (q *Queue) backoff(attempts int) time.Duration {
 	d := q.opts.RetryBaseDelay
-	for i := 1; i < attempts && d < q.opts.RetryMaxDelay; i++ {
+	for i := 1; i < attempts && d < maxRetryDelay; i++ {
 		d *= 2
 	}
-	if d > q.opts.RetryMaxDelay {
-		d = q.opts.RetryMaxDelay
-	}
+	d = min(d, maxRetryDelay)
 	if d > 1 {
 		d -= time.Duration(q.jitter.Int63n(int64(d) / 2))
 	}
 	return d
 }
 
-// enqueueRetry is the retry timer's callback: hand the job back to the
-// workers unless it was canceled or the queue shut down meanwhile.
+// enqueueRetry is the retry timer's callback: it queues the job again
+// unless it was canceled meanwhile or the queue closed, which leaves it
+// journaled as queued for the next process start.
 func (q *Queue) enqueueRetry(id string) {
-	defer q.submitters.Done()
 	q.mu.Lock()
+	defer q.mu.Unlock()
 	delete(q.retries, id)
-	if q.closed {
-		// Shutdown won the race: the job stays journaled as queued and
-		// re-runs on the next process start.
-		q.mu.Unlock()
-		return
-	}
-	j, ok := q.jobs[id]
-	if !ok || j.State != StateQueued {
-		q.mu.Unlock()
-		return
-	}
-	q.mu.Unlock()
-	select {
-	case q.work <- id:
-	case <-q.baseCtx.Done():
-	}
-}
-
-// evictLocked drops the oldest terminal jobs beyond KeepDone.
-func (q *Queue) evictLocked() {
-	if q.opts.KeepDone <= 0 {
-		return
-	}
-	var done []*Job
-	for _, j := range q.jobs {
-		if j.State.Terminal() {
-			done = append(done, j)
-		}
-	}
-	if len(done) <= q.opts.KeepDone {
-		return
-	}
-	sort.Slice(done, func(i, k int) bool { return done[i].FinishedAt.Before(done[k].FinishedAt) })
-	for _, j := range done[:len(done)-q.opts.KeepDone] {
-		delete(q.jobs, j.ID)
-		if q.opts.Journal != nil {
-			_ = q.opts.Journal.Delete(journalPrefix + j.ID)
-		}
+	if j, ok := q.jobs[id]; ok && j.State == StateQueued && !q.closed {
+		q.pending = append(q.pending, id)
+		q.ready.Signal()
 	}
 }
 
@@ -736,24 +692,16 @@ func (q *Queue) List() []Job {
 // already terminal.
 func (q *Queue) Cancel(id string) bool {
 	q.mu.Lock()
+	defer q.mu.Unlock()
 	j, ok := q.jobs[id]
-	if !ok || j.State.Terminal() {
-		q.mu.Unlock()
+	switch {
+	case !ok || j.State.Terminal():
 		return false
-	}
-	if j.State == StateQueued {
-		j.State = StateCanceled
-		j.Error = context.Canceled.Error()
-		j.FinishedAt = time.Now().UTC()
-		_ = q.journal(j)
-		q.notifyLocked(j)
-		q.mu.Unlock()
-		return true
-	}
-	cancel := q.cancels[id]
-	q.mu.Unlock()
-	if cancel != nil {
-		cancel()
+	case j.State == StateQueued:
+		// A worker or retry timer that later takes its id skips it.
+		q.settleLocked(j, StateCanceled, context.Canceled.Error())
+	default:
+		q.cancels[id]()
 	}
 	return true
 }
@@ -813,45 +761,33 @@ func (q *Queue) Counts() map[State]int {
 	return out
 }
 
-// Shutdown stops accepting submissions and drains: it waits for
-// running and queued jobs to finish until ctx is done, then cancels
-// whatever is still running and waits for the workers to exit. Queued
-// jobs that never started stay journaled as queued and are re-run on
-// the next process start.
+// Shutdown stops accepting submissions and drains: workers run the
+// queued jobs until ctx is done. Then it stops hard: it cancels the
+// running jobs' contexts, workers take no further job, and it waits for
+// them to exit. Jobs that never started, and jobs waiting out a retry
+// backoff, stay journaled as queued and re-run on the next process
+// start.
 func (q *Queue) Shutdown(ctx context.Context) error {
 	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		<-q.done
-		return nil
-	}
 	q.closed = true
-	// Stop pending retry timers: their jobs are journaled as queued and
-	// re-run on the next start. A timer whose callback already fired
-	// settles its own submitters count; one we stop first, we settle.
 	for id, tm := range q.retries {
-		if tm.Stop() {
-			q.submitters.Done()
-		}
+		tm.Stop()
 		delete(q.retries, id)
 	}
+	q.ready.Broadcast()
 	q.mu.Unlock()
-	// No new Submit can pass the closed check now; wait out the ones
-	// already past it, then close the channel they were sending on.
-	q.submitters.Wait()
-	close(q.work)
-
 	select {
-	case <-q.done:
-		// Workers exited: the closed channel emptied, every job ran to
-		// completion.
+	case <-q.exited:
 		q.stopBase()
 		return nil
 	case <-ctx.Done():
-		// Hard stop: cancel the base context (which cancels every
-		// running job's context) and wait for the workers.
-		q.stopBase()
-		<-q.done
-		return ctx.Err()
 	}
+	// Workers check the base context under q.mu before taking an id, so
+	// none starts another job once this broadcast is out.
+	q.mu.Lock()
+	q.stopBase()
+	q.ready.Broadcast()
+	q.mu.Unlock()
+	<-q.exited
+	return ctx.Err()
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -572,5 +573,160 @@ func TestCompleteOnClosedQueue(t *testing.T) {
 	}
 	if st := q.Stats(); st.Submitted != 0 || st.Succeeded != 0 {
 		t.Fatalf("stats = %+v; want nothing counted", st)
+	}
+}
+
+// retainedIDs returns the ids of the jobs q retains and of the records
+// jr holds, each sorted.
+func retainedIDs(q *Queue, jr *countingJournal) (mem, journaled []string) {
+	for _, j := range q.List() {
+		mem = append(mem, j.ID)
+	}
+	sort.Strings(mem)
+	for _, k := range jr.Keys(journalPrefix) {
+		journaled = append(journaled, strings.TrimPrefix(k, journalPrefix))
+	}
+	return mem, journaled
+}
+
+// TestCancelQueuedCountsAndEvicts: a job canceled while queued ends
+// like any other, so it counts in Stats and takes part in KeepDone
+// eviction, in memory and in the journal.
+func TestCancelQueuedCountsAndEvicts(t *testing.T) {
+	block := make(chan struct{})
+	defer close(block)
+	jr := newCountingJournal()
+	q := newQueue(t, Options{Workers: 1, Journal: jr, KeepDone: 1, Handler: func(ctx context.Context, job *Job) ([]byte, error) {
+		<-block
+		return nil, nil
+	}})
+	blocker, err := q.Submit(nil, SubmitOptions{Name: "blocker"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var victims []string
+	for i := 0; i < 3; i++ {
+		v, err := q.Submit(nil, SubmitOptions{Name: fmt.Sprint("victim", i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		victims = append(victims, v.ID)
+	}
+	for _, id := range victims {
+		if !q.Cancel(id) {
+			t.Fatalf("Cancel(%s) returned false for a queued job", id)
+		}
+	}
+	if st := q.Stats(); st.Canceled != 3 {
+		t.Errorf("Stats().Canceled = %d, want 3", st.Canceled)
+	}
+	if n := q.Counts()[StateCanceled]; n != 1 {
+		t.Errorf("retained %d canceled jobs, want 1 (KeepDone 1)", n)
+	}
+	want := []string{blocker.ID, victims[2]}
+	sort.Strings(want)
+	if mem, journaled := retainedIDs(q, jr); !reflect.DeepEqual(mem, want) || !reflect.DeepEqual(journaled, want) {
+		t.Errorf("retained %v in memory and %v in the journal, want %v in both", mem, journaled, want)
+	}
+}
+
+// TestHardStopKeepsQueuedJobs: a hard stop cancels the running jobs
+// only. Jobs that never started stay queued, in memory and in the
+// journal, and all of them run after a restart.
+func TestHardStopKeepsQueuedJobs(t *testing.T) {
+	const workers = 4
+	dir := t.TempDir()
+	j1 := openJournal(t, dir)
+	started := make(chan struct{}, workers)
+	q1, err := New(Options{Workers: workers, Journal: j1, Handler: func(ctx context.Context, job *Job) ([]byte, error) {
+		if string(job.Payload) == "blocker" {
+			started <- struct{}{}
+			<-ctx.Done()
+			return nil, ctx.Err()
+		}
+		return []byte("ran"), nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range workers {
+		if _, err := q1.Submit([]byte("blocker"), SubmitOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range workers {
+		<-started
+	}
+	var ids []string
+	for i := 0; i < 20; i++ {
+		j, err := q1.Submit([]byte(fmt.Sprint(i)), SubmitOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, j.ID)
+	}
+	hard, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := q1.Shutdown(hard); err == nil {
+		t.Fatal("hard Shutdown returned nil, want the context's error")
+	}
+	for _, id := range ids {
+		if got, _ := q1.Get(id); got.State != StateQueued || got.Attempts != 0 {
+			t.Errorf("job %s after a hard stop: state %s, %d attempts; want queued, never run", id, got.State, got.Attempts)
+		}
+		raw, ok := j1.Get(journalPrefix + id)
+		var rec Job
+		if !ok || json.Unmarshal(raw, &rec) != nil || rec.State != StateQueued {
+			t.Errorf("journaled %s = %s, want queued", id, raw)
+		}
+	}
+	j1.Close()
+
+	j2 := openJournal(t, dir)
+	t.Cleanup(func() { j2.Close() }) // after the queue's shutdown
+	q2 := newQueue(t, Options{Workers: 2, Journal: j2, Handler: echoHandler})
+	for _, id := range ids {
+		final, err := q2.Wait(context.Background(), id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if final.State != StateSucceeded {
+			t.Errorf("job %s after restart: %s (%s), want succeeded", id, final.State, final.Error)
+		}
+	}
+}
+
+// TestRecoveryRetainsNewestPastKeepDone: a journal holding more terminal
+// jobs than KeepDone is cut to the newest by FinishedAt, whatever their
+// id order, and the next job to end evicts the oldest of those.
+func TestRecoveryRetainsNewestPastKeepDone(t *testing.T) {
+	jr := newCountingJournal()
+	at := time.Now().UTC().Add(-time.Hour)
+	// job-(i+1) finished finish[i] minutes after at.
+	finish := []int{4, 0, 5, 2, 1, 3}
+	for i, m := range finish {
+		id := fmt.Sprintf("job-%d", i+1)
+		raw, err := json.Marshal(Job{ID: id, State: StateSucceeded, SubmittedAt: at,
+			FinishedAt: at.Add(time.Duration(m) * time.Minute)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := jr.Put(journalPrefix+id, raw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q := newQueue(t, Options{Journal: jr, KeepDone: 3, Handler: echoHandler})
+	want := []string{"job-1", "job-3", "job-6"} // finished at 4, 5 and 3
+	if mem, journaled := retainedIDs(q, jr); !reflect.DeepEqual(mem, want) || !reflect.DeepEqual(journaled, want) {
+		t.Errorf("after New: retained %v in memory and %v in the journal, want %v in both", mem, journaled, want)
+	}
+	c, err := q.Complete(nil, []byte("answer"), SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = []string{"job-1", "job-3", c.ID}
+	sort.Strings(want)
+	if mem, journaled := retainedIDs(q, jr); !reflect.DeepEqual(mem, want) || !reflect.DeepEqual(journaled, want) {
+		t.Errorf("after one more job ended: retained %v in memory and %v in the journal, want %v in both", mem, journaled, want)
 	}
 }

@@ -71,19 +71,19 @@ func TestSafeRunReturnsTypedPanicError(t *testing.T) {
 	}
 }
 
-// TestRetryableFailureRetriesThenQuarantines: a handler failing with a
-// retryable error is re-run with backoff until the attempt budget is
-// spent, then quarantined; the attempt count is visible on the job.
+// TestRetryableFailureRetriesThenQuarantines: a panicking handler,
+// the one retryable failure, is re-run with backoff until the attempt
+// budget is spent, then quarantined; the attempt count is visible on
+// the job.
 func TestRetryableFailureRetriesThenQuarantines(t *testing.T) {
 	var runs atomic.Int32
 	q := newQueue(t, Options{
 		Workers:        1,
 		MaxAttempts:    3,
 		RetryBaseDelay: 5 * time.Millisecond,
-		Retryable:      func(err error) bool { return strings.Contains(err.Error(), "transient") },
 		Handler: func(ctx context.Context, job *Job) ([]byte, error) {
 			runs.Add(1)
-			return nil, errors.New("transient: disk hiccup")
+			panic("disk hiccup")
 		},
 	})
 	j, _ := q.Submit(nil, SubmitOptions{})
@@ -104,7 +104,7 @@ func TestRetryableFailureRetriesThenQuarantines(t *testing.T) {
 	}
 }
 
-// TestRetrySucceedsAfterTransientFailure: error-once-then-heal — the
+// TestRetrySucceedsAfterTransientFailure: panic-once-then-heal — the
 // second attempt succeeds and the job ends succeeded, not quarantined.
 func TestRetrySucceedsAfterTransientFailure(t *testing.T) {
 	var runs atomic.Int32
@@ -112,10 +112,9 @@ func TestRetrySucceedsAfterTransientFailure(t *testing.T) {
 		Workers:        1,
 		MaxAttempts:    3,
 		RetryBaseDelay: 5 * time.Millisecond,
-		Retryable:      func(error) bool { return true },
 		Handler: func(ctx context.Context, job *Job) ([]byte, error) {
 			if runs.Add(1) == 1 {
-				return nil, errors.New("first attempt fails")
+				panic("first attempt fails")
 			}
 			return []byte("second time lucky"), nil
 		},
@@ -133,9 +132,8 @@ func TestRetrySucceedsAfterTransientFailure(t *testing.T) {
 	}
 }
 
-// TestNonRetryableFailureFailsImmediately: without a Retryable
-// classifier (and without a panic), one failure is final even with
-// attempt budget to spare.
+// TestNonRetryableFailureFailsImmediately: a handler error that is not
+// a panic is final even with attempt budget to spare.
 func TestNonRetryableFailureFailsImmediately(t *testing.T) {
 	var runs atomic.Int32
 	q := newQueue(t, Options{
@@ -163,7 +161,6 @@ func TestTimeoutNeverRetries(t *testing.T) {
 	q := newQueue(t, Options{
 		MaxAttempts:    4,
 		RetryBaseDelay: time.Millisecond,
-		Retryable:      func(error) bool { return true },
 		Handler: func(ctx context.Context, job *Job) ([]byte, error) {
 			runs.Add(1)
 			<-ctx.Done()
@@ -193,12 +190,11 @@ func TestAttemptBudgetSurvivesRestart(t *testing.T) {
 	var runs atomic.Int32
 	fail := func(ctx context.Context, job *Job) ([]byte, error) {
 		runs.Add(1)
-		return nil, errors.New("poison")
+		panic("poison")
 	}
 	q1, err := New(Options{
 		Workers: 1, Handler: fail, Journal: st,
 		MaxAttempts: 3, RetryBaseDelay: 5 * time.Millisecond,
-		Retryable: func(error) bool { return true },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -221,7 +217,6 @@ func TestAttemptBudgetSurvivesRestart(t *testing.T) {
 	q2, err := New(Options{
 		Workers: 1, Handler: fail, Journal: st,
 		MaxAttempts: 3, RetryBaseDelay: 5 * time.Millisecond,
-		Retryable: func(error) bool { return true },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -252,13 +247,9 @@ func TestBackoffCapsAndGrows(t *testing.T) {
 	q := newQueue(t, Options{
 		Handler:        echoHandler,
 		RetryBaseDelay: 100 * time.Millisecond,
-		RetryMaxDelay:  800 * time.Millisecond,
 	})
 	for attempts := 1; attempts <= 10; attempts++ {
-		upper := 100 * time.Millisecond << (attempts - 1)
-		if upper > 800*time.Millisecond {
-			upper = 800 * time.Millisecond
-		}
+		upper := min(100*time.Millisecond<<(attempts-1), maxRetryDelay)
 		for trial := 0; trial < 20; trial++ {
 			d := q.backoff(attempts)
 			if d <= 0 || d > upper {
@@ -279,11 +270,9 @@ func TestCancelDuringBackoffWins(t *testing.T) {
 		Workers:        1,
 		MaxAttempts:    5,
 		RetryBaseDelay: 50 * time.Millisecond,
-		RetryMaxDelay:  50 * time.Millisecond,
-		Retryable:      func(error) bool { return true },
 		Handler: func(ctx context.Context, job *Job) ([]byte, error) {
 			runs.Add(1)
-			return nil, errors.New("flaky")
+			panic("flaky")
 		},
 	})
 	j, _ := q.Submit(nil, SubmitOptions{})

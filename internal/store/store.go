@@ -98,29 +98,30 @@ var ErrCorrupt = errors.New("store: log corrupt")
 // disk answers again.
 var ErrSealed = errors.New("store: write path sealed")
 
-// Stats reports store effectiveness and footprint.
+// Stats reports store effectiveness and footprint. The JSON names are
+// the service's wire format (GET /v1/stats).
 type Stats struct {
 	// Records is the number of live keys.
-	Records int
+	Records int `json:"records"`
 	// LogBytes is the on-disk log size, including dead records.
-	LogBytes int64
+	LogBytes int64 `json:"log_bytes"`
 	// Puts, Deletes, Gets count operations since open; Hits counts the
 	// Gets that found a value.
-	Puts    int
-	Deletes int
-	Gets    int
-	Hits    int
+	Puts    int `json:"puts"`
+	Deletes int `json:"deletes"`
+	Gets    int `json:"gets"`
+	Hits    int `json:"hits"`
 	// Recovered is the number of records replayed at open; Truncated
 	// is the number of torn-tail bytes discarded.
-	Recovered int
-	Truncated int64
+	Recovered int   `json:"recovered"`
+	Truncated int64 `json:"truncated_bytes"`
 	// Rollbacks counts appends whose write failed and whose partial
 	// frame was successfully cut back off the log; Seals counts the
 	// times the write path sealed; Reopens counts successful Reopen
 	// probes that lifted a seal.
-	Rollbacks int
-	Seals     int
-	Reopens   int
+	Rollbacks int `json:"rollbacks"`
+	Seals     int `json:"seals"`
+	Reopens   int `json:"reopens"`
 }
 
 // Store is a disk-backed string→bytes map. It is safe for concurrent
@@ -336,7 +337,8 @@ func parseFrame(b []byte) (key string, val []byte, op byte, n int, ok bool) {
 // (caller holds the write lock). A failed write is rolled back (the
 // partial frame is cut off the log) so the next append starts on a
 // committed boundary; an unrecoverable rollback or a failed fsync
-// seals the write path.
+// seals the write path, and the error returned then wraps ErrSealed
+// like every later write's.
 func (s *Store) appendFrame(op byte, key string, val []byte) (int64, error) {
 	if s.closed {
 		return 0, fmt.Errorf("store: %s is closed", s.path)
@@ -365,8 +367,7 @@ func (s *Store) appendFrame(op byte, key string, val []byte) (int64, error) {
 		// frame on disk. Left there, the *next* append would land after
 		// it and turn the partial frame into mid-log corruption — so
 		// cut the log back to the last committed record now.
-		s.rollback(err)
-		return 0, fmt.Errorf("store: append: %w", err)
+		return 0, s.rollback(err)
 	}
 	if s.fsync {
 		if err := s.f.Sync(); err != nil {
@@ -374,38 +375,40 @@ func (s *Store) appendFrame(op byte, key string, val []byte) (int64, error) {
 			// (retrying the same descriptor can report success without
 			// the data ever reaching the disk), so no further append is
 			// trustworthy: seal until a Reopen re-probes the disk.
-			s.seal(fmt.Errorf("store: fsync: %w", err))
-			return 0, fmt.Errorf("store: fsync: %w", err)
+			return 0, s.seal(fmt.Errorf("store: fsync: %w", err))
 		}
 	}
 	return int64(len(frame)), nil
 }
 
 // rollback cuts a partially appended frame back off the log (caller
-// holds the write lock). If the disk refuses even the rollback, the
-// write path seals — nothing more can safely be appended.
-func (s *Store) rollback(cause error) {
+// holds the write lock) and returns the append's error. If the disk
+// refuses even the rollback, the write path seals — nothing more can
+// safely be appended.
+func (s *Store) rollback(cause error) error {
 	if err := s.f.Truncate(s.size); err != nil {
-		s.seal(fmt.Errorf("store: append failed (%v) and rollback failed: %w", cause, err))
-		return
+		return s.seal(fmt.Errorf("store: append failed (%v) and rollback failed: %w", cause, err))
 	}
 	if _, err := s.f.Seek(s.size, io.SeekStart); err != nil {
-		s.seal(fmt.Errorf("store: append failed (%v) and rollback seek failed: %w", cause, err))
-		return
+		return s.seal(fmt.Errorf("store: append failed (%v) and rollback seek failed: %w", cause, err))
 	}
 	s.mu.Lock()
 	s.stats.Rollbacks++
 	s.mu.Unlock()
+	return fmt.Errorf("store: append: %w", cause)
 }
 
-// seal shuts the write path (caller holds the write lock).
-func (s *Store) seal(cause error) {
+// seal shuts the write path (caller holds the write lock) and returns
+// the error the write that sealed it reports: cause wrapped in
+// ErrSealed.
+func (s *Store) seal(cause error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.sealed == nil {
 		s.sealed = cause
 		s.stats.Seals++
 	}
+	return fmt.Errorf("%w: %w", ErrSealed, cause)
 }
 
 // Sealed returns the error that sealed the write path, or nil when the
@@ -621,7 +624,9 @@ func (s *Store) Compact() error {
 		n, err := ns.appendFrame(opPut, k, s.index[k])
 		if err != nil {
 			cleanup()
-			return err
+			// Not %w: a failure here may seal the throwaway log, never
+			// this store's write path.
+			return fmt.Errorf("store: compact: %v", err)
 		}
 		ns.size += n
 	}
@@ -642,8 +647,7 @@ func (s *Store) Compact() error {
 	if err != nil {
 		// The compacted log is in place but we hold no descriptor to it:
 		// appends can no longer reach the live file. Seal; Reopen heals.
-		s.seal(fmt.Errorf("store: compact: reopening: %w", err))
-		return fmt.Errorf("store: compact: reopening: %w", err)
+		return s.seal(fmt.Errorf("store: compact: reopening: %w", err))
 	}
 	if _, err := f.Seek(0, io.SeekEnd); err != nil {
 		f.Close()

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"alice/internal/jobq"
+	"alice/internal/store"
 )
 
 // JobRequest is the body of POST /v1/jobs: one design to redact, with
@@ -196,7 +197,7 @@ type HealthResponse struct {
 // GET /v1/store/stats).
 type StatsResponse struct {
 	// Store is the persistent store's record/recovery accounting.
-	Store StoreStats `json:"store"`
+	Store store.Stats `json:"store"`
 	// Cache is the tiered characterization cache.
 	Cache CacheStats `json:"cache"`
 	// Jobs counts queue jobs by state. It is a point-in-time census of
@@ -221,19 +222,4 @@ type StatsResponse struct {
 	Probes int64 `json:"probes"`
 	// Health mirrors GET /healthz.
 	Health HealthResponse `json:"health"`
-}
-
-// StoreStats mirrors store.Stats for the wire.
-type StoreStats struct {
-	Records        int   `json:"records"`
-	LogBytes       int64 `json:"log_bytes"`
-	Puts           int   `json:"puts"`
-	Deletes        int   `json:"deletes"`
-	Gets           int   `json:"gets"`
-	Hits           int   `json:"hits"`
-	Recovered      int   `json:"recovered"`
-	TruncatedBytes int64 `json:"truncated_bytes"`
-	Rollbacks      int   `json:"rollbacks"`
-	Seals          int   `json:"seals"`
-	Reopens        int   `json:"reopens"`
 }

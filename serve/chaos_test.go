@@ -228,6 +228,45 @@ func TestSealedStoreRefusesMemoHit(t *testing.T) {
 	}
 }
 
+// TestSealingSubmissionGets503: the submission whose journal write
+// seals the store is refused like the ones after it, with 503 and
+// Retry-After, not with a bare 500.
+func TestSealingSubmissionGets503(t *testing.T) {
+	script := iofault.NewScript()
+	srv, err := New(Options{
+		DataDir:       t.TempDir(),
+		Workers:       1,
+		StoreFS:       iofault.NewFS(iofault.OS{}, script),
+		ProbeInterval: time.Hour, // keep the store sealed
+	})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer closeServer(t, srv, ts)
+
+	script.Add(&iofault.Rule{Op: iofault.OpSync, Mode: iofault.Fail})
+	for i := 1; i <= 2; i++ {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(`{"bench":"gcd","cfg":1}`))
+		if err != nil {
+			t.Fatalf("POST %d: %v", i, err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+			t.Errorf("POST %d under failing fsyncs: status %d, Retry-After %q (%s); want 503 with Retry-After",
+				i, resp.StatusCode, resp.Header.Get("Retry-After"), raw)
+		}
+	}
+	if srv.Store().Sealed() == nil {
+		t.Fatal("store not sealed")
+	}
+	script.Clear()
+	if err := srv.Store().Reopen(); err != nil {
+		t.Fatalf("Reopen: %v", err)
+	}
+}
+
 // TestChaosPanickingJobQuarantined proves panic containment end to
 // end: a payload that panics the engine burns its attempt budget and
 // quarantines with the panic (and stack) in its error, while the

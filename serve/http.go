@@ -192,5 +192,5 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, s.stats().Store)
+	writeJSON(w, http.StatusOK, s.st.Stats())
 }

@@ -110,13 +110,13 @@ type Options struct {
 	EngineOptions []alice.Option
 	// NoSync disables fsync-per-commit in the store (tests only).
 	NoSync bool
-	// MaxQueueDepth bounds the submission backlog: submits beyond this
-	// many queued jobs are refused with 503 + Retry-After instead of
-	// blocking (default 256).
+	// MaxQueueDepth bounds the submission backlog, and is the only
+	// bound on it: submits beyond this many queued jobs are refused
+	// with 503 + Retry-After (default 256).
 	MaxQueueDepth int
-	// MaxAttempts is the per-job execution budget for retryable
-	// failures — panicking payloads included — before quarantine
-	// (default 2: one retry).
+	// MaxAttempts is the per-job execution budget for panicking
+	// payloads, the one retryable failure, before quarantine (default
+	// 2: one retry).
 	MaxAttempts int
 	// RetryBaseDelay seeds the retry backoff (default 1s).
 	RetryBaseDelay time.Duration
@@ -642,9 +642,9 @@ func (s *Server) runJob(ctx context.Context, job *jobq.Job) ([]byte, error) {
 
 // structuralVerdict projects a fabric's structural report onto the API
 // view. Characterization analyzes every fabric and the disk tier keeps
-// the report; selection analyzes a fabric from an older record that
-// lacks one. A candidate still without a report (its analysis failed)
-// degrades to a zeroed verdict rather than failing the job.
+// the report (a record without one is a miss). A candidate without a
+// report (its analysis failed) degrades to a zeroed verdict rather than
+// failing the job.
 func structuralVerdict(fc *alice.FabricCandidate) StructuralVerdict {
 	arch := fc.Fabric.Arch
 	v := StructuralVerdict{
@@ -686,7 +686,6 @@ func runAttack(ctx context.Context, fc *alice.FabricCandidate, opts attack.Optio
 
 // stats assembles the service-wide stats response.
 func (s *Server) stats() StatsResponse {
-	st := s.st.Stats()
 	mh, mm, me := s.tiered.Stats()
 	dh, dm, ds := s.tiered.DiskStats()
 	jobs := make(map[string]int)
@@ -695,19 +694,7 @@ func (s *Server) stats() StatsResponse {
 	}
 	return StatsResponse{
 		Health: s.health(),
-		Store: StoreStats{
-			Records:        st.Records,
-			LogBytes:       st.LogBytes,
-			Puts:           st.Puts,
-			Deletes:        st.Deletes,
-			Gets:           st.Gets,
-			Hits:           st.Hits,
-			Recovered:      st.Recovered,
-			TruncatedBytes: st.Truncated,
-			Rollbacks:      st.Rollbacks,
-			Seals:          st.Seals,
-			Reopens:        st.Reopens,
-		},
+		Store:  s.st.Stats(),
 		Cache: CacheStats{
 			MemHits:    mh,
 			MemMisses:  mm,

@@ -733,3 +733,62 @@ func TestDeleteJobInAttackStage(t *testing.T) {
 		t.Fatalf("next job: %s (%s)", done.State, done.Error)
 	}
 }
+
+// objectKeys returns the keys of the JSON object raw, in order.
+func objectKeys(t *testing.T, raw []byte) []string {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		t.Fatalf("not a JSON object: %s", raw)
+	}
+	var keys []string
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			t.Fatalf("reading %s: %v", raw, err)
+		}
+		keys = append(keys, tok.(string))
+		var skip json.RawMessage
+		if err := dec.Decode(&skip); err != nil {
+			t.Fatalf("reading %s: %v", raw, err)
+		}
+	}
+	return keys
+}
+
+// TestStoreStatsKeys pins the store's accounting on the wire: the keys,
+// in order, of "store" in GET /v1/stats and of the body of POST
+// /v1/store/compact.
+func TestStoreStatsKeys(t *testing.T) {
+	srv, ts := newTestServer(t, t.TempDir())
+	defer closeServer(t, srv, ts)
+	want := []string{"records", "log_bytes", "puts", "deletes", "gets", "hits",
+		"recovered", "truncated_bytes", "rollbacks", "seals", "reopens"}
+
+	resp, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stats map[string]json.RawMessage
+	err = json.NewDecoder(resp.Body).Decode(&stats)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := objectKeys(t, stats["store"]); !reflect.DeepEqual(got, want) {
+		t.Errorf("/v1/stats store keys = %v, want %v", got, want)
+	}
+
+	resp, err = http.Post(ts.URL+"/v1/store/compact", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("compact: status %d (%s)", resp.StatusCode, raw)
+	}
+	if got := objectKeys(t, raw); !reflect.DeepEqual(got, want) {
+		t.Errorf("/v1/store/compact keys = %v, want %v", got, want)
+	}
+}
