@@ -10,7 +10,7 @@ import (
 	"alice/internal/verilog"
 )
 
-func elab(t *testing.T, src string) (*rtl.Design, *rtl.Dataflow) {
+func elab(t testing.TB, src string) (*rtl.Design, *rtl.Dataflow) {
 	t.Helper()
 	ast, err := verilog.Parse(src)
 	if err != nil {

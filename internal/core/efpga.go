@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"alice/internal/fabric"
-	"alice/internal/netlist"
 	"alice/internal/openfpga"
 	"alice/internal/rtl"
 	"alice/internal/structural"
@@ -45,7 +44,9 @@ func wrapperPortName(inst *rtl.InstanceNode, port string) string {
 // every member of a cluster (Sec. 6: "we create a top Verilog module
 // that instantiates all independent modules"). Every member port is
 // exposed as a prefixed wrapper port, so the wrapper's pin count equals
-// the aggregated cluster pin count.
+// the aggregated cluster pin count. Characterization synthesizes only
+// one-instance wrappers and assembles each cluster's netlist from them,
+// node for node as its own wrapper would synthesize.
 func BuildClusterWrapper(c *Cluster, name string) *verilog.Module {
 	m := &verilog.Module{Name: name}
 	for _, inst := range c.Instances {
@@ -132,12 +133,19 @@ type CharacterizeOptions struct {
 // configuration's architecture space, fanning the independent
 // (cluster, family) pairs out over a worker pool. The result is
 // cluster-major, family-minor (candidate i*len(space)+f is cluster i
-// under family f) regardless of parallelism. Each cluster wrapper is
-// synthesized once and re-mapped per family, since only the LUT size
-// changes the mapping. Each characterized fabric also gets its
-// structural analysis (seeded with cfg.Seed, which the cache key
-// covers) before it is cached, so a cache hit skips it too. It returns
-// the context's error if the run is cancelled.
+// under family f) regardless of parallelism.
+//
+// A cluster's wrapper netlist is the disjoint union of its members'
+// netlists, and the same instances recur across many clusters. So each
+// distinct (module, parameter environment) is synthesized and optimized
+// once, through a one-instance wrapper, and mapped once per LUT size;
+// each cluster's gate netlist and LUT network are assembled from those
+// parts in exactly the node order its own wrapper would produce (see
+// assembler), and families sharing a LUT size share the network. Each
+// characterized fabric also gets its structural analysis (seeded with
+// cfg.Seed, which the cache key covers) before it is cached, so a cache
+// hit skips it too. It returns the context's error if the run is
+// cancelled.
 func CharacterizeClusters(ctx context.Context, d *rtl.Design, clusters []Cluster, cfg *Config, co CharacterizeOptions) ([]FabricCandidate, error) {
 	space := cfg.archSpace()
 	out := make([]FabricCandidate, len(clusters)*len(space))
@@ -159,52 +167,14 @@ func CharacterizeClusters(ctx context.Context, d *rtl.Design, clusters []Cluster
 		fp = designHash(d) + "\x00" + cfg.characterizationFingerprint()
 	}
 	// The work unit is one (cluster, family) slot, so family-heavy
-	// sweeps over few clusters still fill the pool. The family-
-	// independent synthesis of each cluster wrapper runs once, guarded
-	// per cluster, and its result is shared by every family slot.
-	synths := make([]struct {
-		once sync.Once
-		n    *netlist.Netlist
-		err  error
-	}, len(clusters))
-	synthesize := func(i int) (*netlist.Netlist, error) {
-		s := &synths[i]
-		s.once.Do(func() {
-			c := clusters[i]
-			wrapperName := fmt.Sprintf("alice_cluster_%d", i)
-			wrapper := BuildClusterWrapper(&c, wrapperName)
-			ast := &verilog.Design{Modules: append(append([]*verilog.Module(nil), d.AST.Modules...), wrapper)}
-			s.n, s.err = openfpga.Synthesize(ctx, ast, wrapperName, opts)
-		})
-		return s.n, s.err
+	// sweeps over few clusters still fill the pool. The slots share the
+	// assembler's parts and each cluster's assembled netlist; the size
+	// search never mutates a network.
+	ks := make([]int, len(space))
+	for f, fam := range space {
+		ks[f] = fam.Normalized().LUTSize
 	}
-	// Technology mapping depends only on the family's LUT size, so
-	// families sharing a K reuse one mapped network per cluster (the
-	// downstream width search never mutates it).
-	distinctK := make(map[int]int) // K -> dense index
-	for _, fam := range space {
-		k := fam.Normalized().LUTSize
-		if _, ok := distinctK[k]; !ok {
-			distinctK[k] = len(distinctK)
-		}
-	}
-	mapped := make([]struct {
-		once sync.Once
-		ln   *techmap.LUTNetwork
-		err  error
-	}, len(clusters)*len(distinctK))
-	mapNetlist := func(i, k int) (*techmap.LUTNetwork, error) {
-		m := &mapped[i*len(distinctK)+distinctK[k]]
-		m.once.Do(func() {
-			n, err := synthesize(i)
-			if err != nil {
-				m.err = err
-				return
-			}
-			m.ln, m.err = openfpga.MapNetlist(n, fabric.Params{LUTSize: k})
-		})
-		return m.ln, m.err
-	}
+	asm := newAssembler(ctx, d, clusters, ks, opts)
 
 	var (
 		mu   sync.Mutex
@@ -223,11 +193,11 @@ func CharacterizeClusters(ctx context.Context, d *rtl.Design, clusters []Cluster
 				return
 			}
 		}
-		n, err := synthesize(i)
+		n, err := asm.netlist(i)
 		var fab *openfpga.Fabric
 		if err == nil {
 			var ln *techmap.LUTNetwork
-			ln, err = mapNetlist(i, fam.Normalized().LUTSize)
+			ln, err = asm.network(i, fam.Normalized().LUTSize)
 			if err == nil {
 				famOpts := opts
 				famOpts.Params = fam

@@ -12,17 +12,8 @@ import (
 func characterizeGCD(t *testing.T, co CharacterizeOptions) (*Config, []FabricCandidate) {
 	t.Helper()
 	b, _ := bench.ByName("gcd")
-	d, df := elab(t, b.Source())
 	cfg := Cfg1()
-	cfg.SelectedOutputs = b.SelectedOutputs
-	fr, err := FilterModules(context.Background(), d, df, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clusters, err := IdentifyClusters(context.Background(), fr.Candidates, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d, clusters := paperClusters(t, b, cfg)
 	cands, err := CharacterizeClusters(context.Background(), d, clusters, cfg, co)
 	if err != nil {
 		t.Fatal(err)

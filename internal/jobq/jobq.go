@@ -172,7 +172,9 @@ type Queue struct {
 	pending []string
 	// done holds the retained terminal jobs in finish order: the front
 	// is the next to evict past KeepDone.
-	done    []*Job
+	done []*Job
+	// queued counts the jobs in StateQueued; setStateLocked keeps it.
+	queued  int
 	cancels map[string]context.CancelFunc
 	waiters map[string][]chan Job
 	retries map[string]*time.Timer
@@ -317,6 +319,9 @@ func (q *Queue) recover() error {
 		}
 		q.seq = max(q.seq, idSeq(j.ID))
 		q.jobs[j.ID] = j
+		if j.State == StateQueued {
+			q.queued++
+		}
 		if j.State.Terminal() {
 			q.done = append(q.done, j)
 		} else {
@@ -334,7 +339,7 @@ func (q *Queue) recover() error {
 					j.Attempts, q.opts.MaxAttempts))
 				continue
 			}
-			j.State = StateQueued
+			q.setStateLocked(j, StateQueued)
 			j.StartedAt = time.Time{}
 			if err := q.journal(j); err != nil {
 				return err
@@ -449,6 +454,7 @@ func (q *Queue) register(j *Job) (Job, error) {
 	if j.State.Terminal() {
 		q.retireLocked(j)
 	} else {
+		q.queued++
 		q.pending = append(q.pending, j.ID)
 		q.ready.Signal()
 	}
@@ -493,7 +499,7 @@ func (q *Queue) runLocked(j *Job) {
 		ctx, cancel = context.WithCancel(q.baseCtx)
 	}
 	defer cancel()
-	j.State = StateRunning
+	q.setStateLocked(j, StateRunning)
 	j.StartedAt = time.Now().UTC()
 	j.RetryAt = time.Time{}
 	j.Attempts++
@@ -549,10 +555,22 @@ func (q *Queue) safeRun(ctx context.Context, j *Job) (result []byte, err error) 
 	return q.opts.Handler(ctx, j)
 }
 
+// setStateLocked moves a registered job to state st and keeps the
+// count of queued jobs (caller holds q.mu).
+func (q *Queue) setStateLocked(j *Job, st State) {
+	if j.State == StateQueued {
+		q.queued--
+	}
+	if st == StateQueued {
+		q.queued++
+	}
+	j.State = st
+}
+
 // settleLocked ends a registered job in terminal state st with error
 // message msg: it stamps and journals the job, then retires it.
 func (q *Queue) settleLocked(j *Job, st State, msg string) {
-	j.State = st
+	q.setStateLocked(j, st)
 	j.Error = msg
 	j.FinishedAt = time.Now().UTC()
 	// A journal error cannot demote the in-memory state; the job would
@@ -600,7 +618,7 @@ func (q *Queue) evictLocked() {
 // survives a crash, then a timer queues the job again after a capped,
 // jittered exponential backoff.
 func (q *Queue) retryLocked(j *Job, cause error) {
-	j.State = StateQueued
+	q.setStateLocked(j, StateQueued)
 	j.Error = cause.Error()
 	j.StartedAt = time.Time{}
 	q.stats.Retries++
@@ -750,7 +768,17 @@ func (q *Queue) Wait(ctx context.Context, id string) (Job, error) {
 	}
 }
 
-// Counts reports how many jobs are in each state.
+// Queued reports how many jobs are queued, waiting for a worker or out
+// a retry backoff: Counts()[StateQueued] in constant time, for
+// admission control on every submission.
+func (q *Queue) Queued() int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.queued
+}
+
+// Counts reports how many jobs are in each state. It walks every
+// retained job.
 func (q *Queue) Counts() map[State]int {
 	q.mu.Lock()
 	defer q.mu.Unlock()

@@ -730,3 +730,112 @@ func TestRecoveryRetainsNewestPastKeepDone(t *testing.T) {
 		t.Errorf("after one more job ended: retained %v in memory and %v in the journal, want %v in both", mem, journaled, want)
 	}
 }
+
+// checkQueued fails unless Queued agrees with Counts and equals want.
+// Callers check only while no job can change state.
+func checkQueued(t *testing.T, q *Queue, when string, want int) {
+	t.Helper()
+	if got, counted := q.Queued(), q.Counts()[StateQueued]; got != counted || got != want {
+		t.Errorf("after %s: Queued() = %d, Counts()[queued] = %d, want %d", when, got, counted, want)
+	}
+}
+
+// TestQueuedMatchesCounts walks jobs through every state change that
+// enters or leaves StateQueued (register, take, cancel, retry, settle,
+// recovery) and checks the constant-time count against Counts after
+// each.
+func TestQueuedMatchesCounts(t *testing.T) {
+	started := make(chan string, 8)
+	gate := make(chan struct{})
+	var panics atomic.Int32
+	handler := func(ctx context.Context, job *Job) ([]byte, error) {
+		if job.Name == "flaky" && panics.Add(1) == 1 {
+			panic("transient")
+		}
+		started <- job.Name
+		select {
+		case <-gate:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		return nil, nil
+	}
+	dir := t.TempDir()
+	st := openJournal(t, dir)
+	t.Cleanup(func() { st.Close() })
+	q := newQueue(t, Options{Workers: 1, Handler: handler, Journal: st, MaxAttempts: 2, RetryBaseDelay: time.Second})
+	await := func(name string) {
+		t.Helper()
+		select {
+		case got := <-started:
+			if got != name {
+				t.Fatalf("job %s started, want %s", got, name)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("job %s never started", name)
+		}
+	}
+	submit := func(name string) Job {
+		t.Helper()
+		j, err := q.Submit(nil, SubmitOptions{Name: name})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+
+	checkQueued(t, q, "start", 0)
+	submit("first")
+	await("first") // taken: the only worker is busy from here on
+	checkQueued(t, q, "take", 0)
+	flaky := submit("flaky")
+	victim := submit("victim")
+	checkQueued(t, q, "register", 2)
+	q.Cancel(victim.ID)
+	checkQueued(t, q, "cancel", 1)
+	if _, err := q.Complete(nil, []byte("memo"), SubmitOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	checkQueued(t, q, "complete", 1)
+
+	// Settling first frees the worker, which takes flaky; its panic
+	// queues it again for the backoff.
+	gate <- struct{}{}
+	deadline := time.Now().Add(5 * time.Second)
+	for j, _ := q.Get(flaky.ID); j.Attempts < 1 || j.State != StateQueued; j, _ = q.Get(flaky.ID) {
+		if time.Now().After(deadline) {
+			t.Fatalf("flaky never waited for a retry: %+v", j)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	checkQueued(t, q, "settle, take and retry", 1)
+	await("flaky")
+	checkQueued(t, q, "retry taken", 0)
+	submit("left")
+	checkQueued(t, q, "register behind a running job", 1)
+
+	// A hard stop cancels flaky and leaves left journaled as queued.
+	hard, cancel := context.WithCancel(context.Background())
+	cancel()
+	q.Shutdown(hard)
+	checkQueued(t, q, "hard stop", 1)
+
+	// Recovery requeues left, which the new worker takes, and a job
+	// journaled as running, which waits behind it.
+	raw, err := json.Marshal(Job{ID: "job-99", Name: "interrupted", State: StateRunning, Attempts: 1, SubmittedAt: time.Now().UTC()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put(journalPrefix+"job-99", raw); err != nil {
+		t.Fatal(err)
+	}
+	q2 := newQueue(t, Options{Workers: 1, Handler: handler, Journal: st, MaxAttempts: 2})
+	await("left")
+	checkQueued(t, q2, "recovery", 1)
+	close(gate)
+	await("interrupted")
+	if _, err := q2.Wait(context.Background(), "job-99"); err != nil {
+		t.Fatal(err)
+	}
+	checkQueued(t, q2, "drain", 0)
+}

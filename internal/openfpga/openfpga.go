@@ -120,6 +120,17 @@ func Characterize(ctx context.Context, ast *verilog.Design, top string, pins int
 // Characterize. Callers exploring an architecture space synthesize once
 // and call CharacterizeNetlist per fabric family.
 func Synthesize(ctx context.Context, ast *verilog.Design, top string, o Options) (*netlist.Netlist, error) {
+	res, err := SynthesizeRaw(ctx, ast, top, o)
+	if err != nil {
+		return nil, err
+	}
+	return opt.Optimize(res.Netlist), nil
+}
+
+// SynthesizeRaw is Synthesize without the optimization: it returns the
+// synthesis result itself, phase boundaries included, for callers that
+// optimize the netlist their own way.
+func SynthesizeRaw(ctx context.Context, ast *verilog.Design, top string, o Options) (*synth.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -127,11 +138,7 @@ func Synthesize(ctx context.Context, ast *verilog.Design, top string, o Options)
 	if err != nil {
 		return nil, err
 	}
-	res, err := synth.SynthesizeOpts(d, synth.Options{UnifyClocks: o.UnifyClocks})
-	if err != nil {
-		return nil, err
-	}
-	return opt.Optimize(res.Netlist), nil
+	return synth.SynthesizeOpts(d, synth.Options{UnifyClocks: o.UnifyClocks})
 }
 
 // CharacterizeNetlist maps an optimized gate netlist onto the family's
@@ -158,7 +165,7 @@ func MapNetlist(n *netlist.Netlist, p fabric.Params) (*techmap.LUTNetwork, error
 	if err != nil {
 		return nil, err
 	}
-	rewriteConstPOs(ln)
+	RewriteConstPOs(ln)
 	return ln, nil
 }
 
@@ -394,10 +401,13 @@ func VerifyBitstream(f *Fabric, steps int, seed int64) error {
 	return nil
 }
 
-// rewriteConstPOs replaces constant primary outputs with constant-
+// RewriteConstPOs replaces constant primary outputs with constant-
 // generator LUTs (a LUT whose sole input is the always-0 unused
-// crossbar source), so every output pad has a routable driver.
-func rewriteConstPOs(ln *techmap.LUTNetwork) {
+// crossbar source), so every output pad has a routable driver. All
+// outputs of one constant share one generator, appended after the
+// network's nodes. MapNetlist applies it; a caller that builds a
+// network from separately mapped parts applies it once to the whole.
+func RewriteConstPOs(ln *techmap.LUTNetwork) {
 	var c0LUT, c1LUT int32 = -1, -1
 	mk := func(mask uint64) int32 {
 		id := int32(len(ln.Nodes))

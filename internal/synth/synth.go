@@ -41,6 +41,14 @@ type PortVec struct {
 	Bits  []int
 }
 
+// Phases is the number of node-creation phases of synthesis. It creates
+// the netlist's nodes in this order:
+//  1. the frame of every instance, with its flip-flops;
+//  2. the top module's outputs, resolved in port order;
+//  3. the root frame's remaining items (inputs that no output reads);
+//  4. every other frame's remaining items, in frame order.
+const Phases = 4
+
 // Result is a synthesized design: the netlist plus the port mapping and
 // the clock/reset signals that were absorbed into the implicit clock and
 // global reset of the netlist model.
@@ -50,6 +58,10 @@ type Result struct {
 	Outputs []PortVec
 	Clock   string   // top-level clock signal name, "" if combinational
 	Resets  []string // async reset signal names absorbed by the global reset
+	// PhaseEnds[p] is the netlist's node count when phase p+1 (see
+	// Phases) ends, so node i belongs to the first phase whose end
+	// exceeds i.
+	PhaseEnds [Phases]int
 }
 
 // itemKind discriminates driver items within a frame.
@@ -153,10 +165,12 @@ func SynthesizeOpts(d *rtl.Design, o Options) (*Result, error) {
 		loopLimit: 1 << 16,
 		opts:      o,
 	}
+	var ends [Phases]int
 	root, err := s.buildFrame(d.Root, nil, nil)
 	if err != nil {
 		return nil, err
 	}
+	ends[0] = len(s.bd.N.Nodes)
 	// Resolve every output port of the top module.
 	var outputs []PortVec
 	poIndex := 0
@@ -179,19 +193,24 @@ func SynthesizeOpts(d *rtl.Design, o Options) (*Result, error) {
 		}
 		outputs = append(outputs, pv)
 	}
+	ends[1] = len(s.bd.N.Nodes)
 	// Force execution of everything else (fills DFF D inputs, flags
-	// errors in dead logic too).
-	for _, f := range s.frames {
+	// errors in dead logic too). The root frame comes first.
+	for i, f := range s.frames {
 		for idx := range f.items {
 			if err := s.execItem(f, idx); err != nil {
 				return nil, err
 			}
 		}
+		if i == 0 {
+			ends[2] = len(s.bd.N.Nodes)
+		}
 	}
+	ends[3] = len(s.bd.N.Nodes)
 	if err := s.checkSingleClock(); err != nil {
 		return nil, err
 	}
-	res := &Result{Netlist: s.bd.N, Outputs: outputs}
+	res := &Result{Netlist: s.bd.N, Outputs: outputs, PhaseEnds: ends}
 	s.stripClockResets(root, res)
 	if err := res.Netlist.Validate(); err != nil {
 		return nil, err

@@ -236,25 +236,50 @@ func Map(n *netlist.Netlist) (*LUTNetwork, error) { return MapK(n, DefaultK) }
 // gates have no 2-feasible cut of their own, so they are lowered to
 // And/Or/Not first.
 func MapK(n *netlist.Netlist, k int) (*LUTNetwork, error) {
+	ln, _, err := mapK(n, k, false)
+	return ln, err
+}
+
+// MapKSources is MapK that also reports where each node of the network
+// comes from: src[i] is the node of n that network node i was emitted
+// for (a LUT's cone root, an input's or flip-flop's own node, constants
+// 0 and 1). The mapper emits constants, inputs, flip-flops and then
+// LUTs in the order of their source nodes. At K = 2 a LUT's source is
+// the gate of n its lowered root came from, so several LUTs may share
+// one source, in their lowered order.
+func MapKSources(n *netlist.Netlist, k int) (ln *LUTNetwork, src []int32, err error) {
+	return mapK(n, k, true)
+}
+
+func mapK(n *netlist.Netlist, k int, sources bool) (*LUTNetwork, []int32, error) {
 	if k < MinK || k > MaxK {
-		return nil, fmt.Errorf("techmap: LUT size %d out of range [%d,%d]", k, MinK, MaxK)
+		return nil, nil, fmt.Errorf("techmap: LUT size %d out of range [%d,%d]", k, MinK, MaxK)
 	}
+	var origin []int32
 	if k == 2 {
 		var err error
-		n, err = lowerMux(n)
+		n, origin, err = lowerMux(n, sources)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	m := &mapper{n: n, k: int8(k)}
-	return m.run()
+	m := &mapper{n: n, k: int8(k), sources: sources}
+	ln, err := m.run()
+	if err != nil || origin == nil {
+		return ln, m.src, err
+	}
+	for i, s := range m.src {
+		m.src[i] = origin[s]
+	}
+	return ln, m.src, nil
 }
 
 // lowerMux rewrites every Mux gate as (~s & d0) | (s & d1), preserving
 // everything else (the builder re-folds and hash-conses, which only
 // shrinks the network). Netlists without Mux gates pass through
-// untouched.
-func lowerMux(n *netlist.Netlist) (*netlist.Netlist, error) {
+// untouched. With origins, origin[i] is the node of n that lowered
+// node i was created for (nil when n passes through).
+func lowerMux(n *netlist.Netlist, origins bool) (lowered *netlist.Netlist, origin []int32, err error) {
 	hasMux := false
 	for _, nd := range n.Nodes {
 		if nd.Op == netlist.Mux {
@@ -263,9 +288,13 @@ func lowerMux(n *netlist.Netlist) (*netlist.Netlist, error) {
 		}
 	}
 	if !hasMux {
-		return n, nil
+		return n, nil, nil
 	}
 	bd := netlist.NewBuilder(n.Name)
+	if origins {
+		origin = make([]int32, 2, len(n.Nodes))
+		origin[1] = 1
+	}
 	piName := make(map[int32]string, len(n.PIs))
 	for i, pi := range n.PIs {
 		piName[pi] = n.PINames[i]
@@ -298,7 +327,10 @@ func lowerMux(n *netlist.Netlist) (*netlist.Netlist, error) {
 			// miscompile every K=2 cone containing it. Synthesized input
 			// can in principle carry ops this rewriter postdates, so this
 			// is a typed error rather than a crash.
-			return nil, fmt.Errorf("techmap: lowerMux: unhandled op %s at node %d of %s", nd.Op, i, n.Name)
+			return nil, nil, fmt.Errorf("techmap: lowerMux: unhandled op %s at node %d of %s", nd.Op, i, n.Name)
+		}
+		for origins && len(origin) < len(bd.N.Nodes) {
+			origin = append(origin, id)
 		}
 	}
 	for _, d := range n.DFFs {
@@ -307,7 +339,7 @@ func lowerMux(n *netlist.Netlist) (*netlist.Netlist, error) {
 	for i, po := range n.POs {
 		bd.Output(n.PONames[i], nmap[po])
 	}
-	return bd.N, nil
+	return bd.N, origin, nil
 }
 
 type nodeInfo struct {
@@ -329,6 +361,9 @@ type mapper struct {
 	n    *netlist.Netlist
 	k    int8
 	info []nodeInfo
+	// With sources, src[i] is the node network node i was emitted for.
+	sources bool
+	src     []int32
 
 	// Scratch that enumerateCuts reuses from node to node.
 	candidates []cut
@@ -400,9 +435,15 @@ func (m *mapper) run() (*LUTNetwork, error) {
 	// Emit the LUT network in topological order.
 	out := &LUTNetwork{Name: n.Name, K: int(m.k)}
 	out.Nodes = make([]LNode, 0, 2+len(n.PIs)+len(n.DFFs)+nLUTs)
-	emit := func(k LKind, mask uint64, ins []int32) int32 {
+	if m.sources {
+		m.src = make([]int32, 0, cap(out.Nodes))
+	}
+	emit := func(src int32, k LKind, mask uint64, ins []int32) int32 {
 		id := int32(len(out.Nodes))
 		out.Nodes = append(out.Nodes, LNode{Kind: k, Mask: mask, In: ins})
+		if m.sources {
+			m.src = append(m.src, src)
+		}
 		return id
 	}
 	nmap := make([]int32, len(n.Nodes))
@@ -410,17 +451,17 @@ func (m *mapper) run() (*LUTNetwork, error) {
 		nmap[i] = -1
 	}
 	// Constants and PIs first.
-	c0 := emit(LConst0, 0, nil)
-	c1 := emit(LConst1, 0, nil)
+	c0 := emit(0, LConst0, 0, nil)
+	c1 := emit(1, LConst1, 0, nil)
 	nmap[0], nmap[1] = c0, c1
 	for i, pi := range n.PIs {
-		nmap[pi] = emit(LInput, 0, nil)
+		nmap[pi] = emit(pi, LInput, 0, nil)
 		out.PIs = append(out.PIs, nmap[pi])
 		out.PINames = append(out.PINames, n.PINames[i])
 	}
 	// FFs next (their D set after LUT emission).
 	for _, d := range n.DFFs {
-		nmap[d] = emit(LFF, 0, []int32{-1})
+		nmap[d] = emit(d, LFF, 0, []int32{-1})
 		out.FFs = append(out.FFs, nmap[d])
 	}
 	// LUTs in forward order.
@@ -441,7 +482,7 @@ func (m *mapper) run() (*LUTNetwork, error) {
 		if err != nil {
 			return nil, fmt.Errorf("techmap: %s: %w", n.Name, err)
 		}
-		nmap[id] = emit(LLUT, mask, ins)
+		nmap[id] = emit(id, LLUT, mask, ins)
 	}
 	// Connect FFs.
 	for _, d := range n.DFFs {

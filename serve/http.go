@@ -79,7 +79,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// capacity. Running jobs don't count — only the queued depth a new
 	// submission would grow. 503 + Retry-After tells well-behaved
 	// clients to back off instead of timing out on a long poll.
-	if s.queue.Counts()[jobq.StateQueued] >= s.opts.MaxQueueDepth {
+	if s.queue.Queued() >= s.opts.MaxQueueDepth {
 		s.rejected.Add(1)
 		w.Header().Set("Retry-After", "5")
 		writeError(w, http.StatusServiceUnavailable,
